@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Subcommands: run, translate, normalize, sql, init-db, gen-data, bench,
-check.  The database DSN comes from --db or the PROVQL_DB environment
-variable; the embedded backend is a SQLite file (or :memory:).
+check.  The database is a SQLite file (or :memory:) named by --db or the
+PROVQL_DB environment variable.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .errors import ProvqlError
 from .parser import parse_program, pretty_print, pretty_print_program
 from .sqlbackend import (
     BENCH_SCHEMA,
-    ConnectionConfig,
-    connect,
     generate_benchmark_data,
     load_database,
     read_database,
@@ -32,9 +30,8 @@ from . import values as V
 from . import syntax as S
 
 
-def _conn_config(args) -> ConnectionConfig:
-    dsn = args.db or os.environ.get("PROVQL_DB") or ":memory:"
-    return ConnectionConfig(kind=args.backend, dsn=dsn)
+def _dsn(args) -> str:
+    return args.db or os.environ.get("PROVQL_DB") or ":memory:"
 
 
 def _read_program(path: str) -> str:
@@ -63,9 +60,9 @@ def cmd_run(args) -> int:
         explain=args.explain,
     )
     conn = None
-    ccfg = _conn_config(args)
-    if ccfg.dsn != ":memory:" and os.path.exists(ccfg.dsn):
-        conn = connect(ccfg)
+    dsn = _dsn(args)
+    if dsn != ":memory:" and os.path.exists(dsn):
+        conn = sqlite3.connect(dsn)
         prog = parse_program(text)
         schemas = pipeline.table_schemas(prog)
         db = read_database(conn, schemas)
@@ -143,22 +140,22 @@ def cmd_init_db(args) -> int:
     if args.emit_only:
         _out(args, ";\n".join(ddl) + ";")
         return 0
-    conn = connect(_conn_config(args))
+    conn = sqlite3.connect(_dsn(args))
     load_database(conn, db)
     conn.close()
     return 0
 
 
 def cmd_gen_data(args) -> int:
-    ccfg = _conn_config(args)
+    dsn = _dsn(args)
     db = generate_benchmark_data(args.departments, args.seed, args.employees)
-    if ccfg.dsn != ":memory:" and os.path.exists(ccfg.dsn):
-        os.unlink(ccfg.dsn)
-    conn = connect(ccfg)
+    if dsn != ":memory:" and os.path.exists(dsn):
+        os.unlink(dsn)
+    conn = sqlite3.connect(dsn)
     load_database(conn, db)
     conn.close()
     sizes = {n: len(t.rows) for n, t in db.tables.items()}
-    _out(args, json.dumps({"dsn": ccfg.dsn, "rows": sizes}))
+    _out(args, json.dumps({"dsn": dsn, "rows": sizes}))
     return 0
 
 
@@ -217,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         if program:
             sp.add_argument("program", help="path to a .pql source file")
             sp.add_argument("--mode", choices=["plain", "where", "lineage"], default="plain")
-        sp.add_argument("--db", default=None, help="database DSN (or $PROVQL_DB)")
-        sp.add_argument("--backend", choices=["embedded", "server"], default="embedded")
+        sp.add_argument("--db", default=None, help="SQLite database file (or $PROVQL_DB)")
         sp.add_argument("--out", default=None, help="write output to a file")
 
     sp = sub.add_parser("run", help="run a program")

@@ -3,14 +3,17 @@
 The rewriter inlines let/function/projection redexes and hoists nested
 comprehensions, filters, and conditionals until a query is a union of
 branches, each a chain of table generators, a conjunctive condition, and a
-result record.  Nested collection results become subquery trees: the flat
-skeleton can go to SQL while inner lists are computed per outer row.
+result record.  Normal forms over flat tables have only table generators
+(Cooper, "The script-writer's dream", DBPL 2009); a generator over anything
+else is reported as an error.  Nested collection results become subquery
+trees whose branches also have only table generators; each branch runs as
+one SQL statement, an inner one once per outer row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import NormalizeError
 from . import syntax as S
@@ -33,18 +36,17 @@ class TableGen:
 
 @dataclass
 class QueryGen:
-    """Generator over the rows of a nested subquery (runs in memory)."""
+    """Generator over the rows of a nested subquery.  No longer constructed:
+    normal forms have table generators only.  Kept importable for callers
+    that still test for it."""
 
     var: str
     query: "NormalQuery"
 
 
-Gen = Union[TableGen, QueryGen]
-
-
 @dataclass
 class Branch:
-    gens: list[Gen] = field(default_factory=list)
+    gens: list[TableGen] = field(default_factory=list)
     conds: list[S.Expr] = field(default_factory=list)
     result: S.Expr = S.UNIT_LIT
 
@@ -240,15 +242,17 @@ def _read_branches(e: S.Expr, gens: list, conds: list, out: list[Branch]) -> Non
         )
         return
     if isinstance(e, S.For):
-        if isinstance(e.source, S.TableRef):
-            gen: Gen = TableGen(e.var, e.source.name, e.source.row)
-        elif isinstance(e.source, S.Var):
+        if isinstance(e.source, S.Var):
             raise NormalizeError(
                 f"unresolved variable {e.source.name!r} in generator position",
                 e.span,
             )
-        else:
-            gen = QueryGen(e.var, _read_query(e.source))
+        if not isinstance(e.source, S.TableRef):
+            raise NormalizeError(
+                f"generator over {type(e.source).__name__}, not a table, in normal form",
+                e.span,
+            )
+        gen = TableGen(e.var, e.source.name, e.source.row)
         _read_branches(e.body, gens + [gen], conds, out)
         return
     if isinstance(e, S.Singleton):
@@ -297,9 +301,6 @@ def assert_no_residuals(nq: NormalQuery) -> None:
     """No function applications and no projections on constructed records may
     survive normalization."""
     for b in nq.branches:
-        for g in b.gens:
-            if isinstance(g, QueryGen):
-                assert_no_residuals(g.query)
         for c in b.conds:
             _assert_expr_clean(c)
         _assert_expr_clean(b.result)
@@ -326,11 +327,7 @@ def render_back(nq: NormalQuery) -> S.Expr:
         for c in reversed(b.conds):
             e = S.Where(_render_result(c), e)
         for g in reversed(b.gens):
-            if isinstance(g, TableGen):
-                src: S.Expr = S.TableRef(g.table, g.row, oid_implicit=True)
-                e = S.For(g.var, src, e, True)
-            else:
-                e = S.For(g.var, render_back(g.query), e, False)
+            e = S.For(g.var, S.TableRef(g.table, g.row, oid_implicit=True), e, True)
         out = e if out is None else S.Concat(out, e)
     return out if out is not None else S.EmptyList()
 

@@ -172,7 +172,8 @@ def run(
     db: Optional[Database] = None,
     conn=None,
 ) -> RunResult:
-    """The full pipeline; measures per-repetition execution time."""
+    """The full pipeline; measures per-repetition execution time.  The
+    query is normalized once, before the repetitions."""
     prepared = prepare(text, cfg.mode)
     result = RunResult(None)
     if cfg.emit_translated:
@@ -207,7 +208,7 @@ def run(
                 vi = run_interp(db, prepared)
             if cfg.engine in ("sql", "both"):
                 explain: Optional[list] = [] if cfg.explain else None
-                vs = run_sql(conn, prepared, explain)
+                vs = PlanExecutor(conn, explain=explain).run(nq)
                 if cfg.explain and explain is not None:
                     result.outputs["explain"] = explain
             result.timings_ms.append((time.perf_counter() - t0) * 1000.0)

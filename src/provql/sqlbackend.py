@@ -1,53 +1,24 @@
 """SQL backend: render normal queries to SQL, execute them, decode results,
 translate updates, and generate the benchmark database.
 
-The reference backend is embedded SQLite; a PostgreSQL-compatible server
-DSN is accepted for the benchmark harness when a driver is installed.
-Emitted SQL stays within the common dialect subset (SELECT / UNION ALL /
-scalar operators / EXISTS); oids are explicit integer columns assigned
-from per-table sequences managed by this module.
+The backend is embedded SQLite.  Emitted SQL stays within the common
+dialect subset (SELECT / UNION ALL / scalar operators / EXISTS); oids are
+explicit integer columns assigned from per-table sequences managed by this
+module.
 """
 
 from __future__ import annotations
 
-import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .database import Database, OID
 from .errors import BackendError
-from .normalize import Branch, Gen, NormalQuery, QueryGen, SubQuery, TableGen
+from .normalize import Branch, NormalQuery, SubQuery, TableGen
 from .interp import delta
 from . import syntax as S
 from . import values as V
-
-
-@dataclass
-class ConnectionConfig:
-    kind: str = "embedded"  # embedded file | server
-    dsn: str = ":memory:"
-    batch_size: int = 10_000
-
-    def __post_init__(self):
-        if self.kind not in ("embedded", "server"):
-            raise BackendError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "server" and not self.dsn:
-            raise BackendError("server backend needs a DSN")
-
-
-def connect(cfg: ConnectionConfig):
-    if cfg.kind == "embedded":
-        conn = sqlite3.connect(cfg.dsn)
-        return conn
-    try:
-        import psycopg2  # type: ignore
-
-        return psycopg2.connect(cfg.dsn)
-    except ImportError as exc:
-        raise BackendError(
-            "server backend requires a PostgreSQL driver (psycopg2)"
-        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -129,25 +100,6 @@ def shape_names(shape: Shape, prefix: str = "") -> list[str]:
         for i, s in enumerate(shape.cells):
             out.extend(shape_names(s, f"{prefix}_{i + 1}" if prefix else str(i + 1)))
     return out
-
-
-def _decode_row(shape: Shape, row: tuple, pos: int = 0) -> tuple[V.Value, int]:
-    if isinstance(shape, LeafShape):
-        x = row[pos]
-        if shape.ty == S.BOOL:
-            x = bool(x)
-        return V.VConst(x), pos + 1
-    if isinstance(shape, RecordShape):
-        fields = []
-        for l, s in shape.fields:
-            v, pos = _decode_row(s, row, pos)
-            fields.append((l, v))
-        return V.vrecord(fields), pos
-    items = []
-    for s in shape.cells:
-        v, pos = _decode_row(s, row, pos)
-        items.append(v)
-    return V.VList(tuple(items)), pos
 
 
 def compile_decoder(shape: Shape):
@@ -234,21 +186,20 @@ class ParamRef(S.Expr):
 
     var: str
     label: str
-    ty: object = None  # base type, for boolean placement
+    ty: S.Type  # base type, for decoding and boolean placement
 
 
 class _Renderer:
     """Renders normal-form expressions against generator aliases."""
 
     def __init__(self, scopes: dict[str, tuple[str, S.Row]], params: Optional[list] = None):
-        # var -> (sql alias, row type)
+        # var -> (sql alias, row type); an empty alias renders unqualified
+        # columns, as UPDATE and DELETE statements need
         self.scopes = scopes
         self.params = params  # ordered (var, label) slots when parameterizing
 
     def expr(self, e: S.Expr, boolean: bool = False) -> str:
         if isinstance(e, ParamRef):
-            if self.params is None:
-                raise _NotRenderable()
             self.params.append((e.var, e.label))
             if boolean and e.ty == S.BOOL:
                 return "? <> 0"
@@ -268,7 +219,7 @@ class _Renderer:
             ty = S.row_get(row, e.label)
             if ty is None:
                 raise _NotRenderable()
-            col = f"{qident(alias)}.{qident(e.label)}"
+            col = f"{qident(alias)}.{qident(e.label)}" if alias else qident(e.label)
             if boolean and ty == S.BOOL:
                 return f"{col} <> 0"
             return col
@@ -315,19 +266,20 @@ class _Renderer:
         raise _NotRenderable()
 
 
+def _const_type(x) -> S.Type:
+    """The base type of a constant's Python value."""
+    return S.BOOL if isinstance(x, bool) else S.INT if isinstance(x, int) else S.STRING
+
+
 def leaf_type(e: S.Expr, scopes: dict[str, tuple[str, S.Row]]) -> S.Type:
     if isinstance(e, ParamRef):
-        if e.ty is None:
-            raise _NotRenderable()
         return e.ty
     if isinstance(e, S.Const):
-        v = e.value
-        return S.BOOL if isinstance(v, bool) else S.INT if isinstance(v, int) else S.STRING
+        return _const_type(e.value)
     if isinstance(e, S.ValueLit):
         v = V.strip_annotations(e.value)
         if isinstance(v, V.VConst):
-            x = v.value
-            return S.BOOL if isinstance(x, bool) else S.INT if isinstance(x, int) else S.STRING
+            return _const_type(v.value)
     if isinstance(e, S.Project) and isinstance(e.expr, S.Var):
         entry = scopes.get(e.expr.name)
         if entry is not None:
@@ -364,14 +316,7 @@ def render_sql(
     shape0: Optional[Shape] = None
     names0: Optional[list[str]] = None
     for b in nq.branches:
-        scopes = dict(outer or {})
-        from_ = []
-        for i, g in enumerate(b.gens):
-            if not isinstance(g, TableGen):
-                raise BackendError("non-table generator in SQL rendering")
-            alias = f"t{len(scopes)}"
-            scopes[g.var] = (alias, g.row)
-            from_.append((g.table, alias))
+        scopes, from_ = _generator_scopes(b.gens, outer)
         r = _Renderer(scopes, params)
         try:
             # the select list renders before WHERE so placeholder order
@@ -391,6 +336,18 @@ def render_sql(
     q = SqlQuery(selects)
     q.shape = shape0  # type: ignore[attr-defined]
     return q
+
+
+def _generator_scopes(gens: list[TableGen], outer=None):
+    """Renderer scopes and the FROM list for a branch's generators, with
+    aliases numbered after the enclosing scopes'."""
+    scopes = dict(outer or {})
+    from_ = []
+    for g in gens:
+        alias = f"t{len(scopes)}"
+        scopes[g.var] = (alias, g.row)
+        from_.append((g.table, alias))
+    return scopes, from_
 
 
 def _flatten_result(e: S.Expr, r: _Renderer, scopes) -> tuple[list[str], Shape]:
@@ -423,19 +380,11 @@ def _flatten_result(e: S.Expr, r: _Renderer, scopes) -> tuple[list[str], Shape]:
     return [r.expr(e)], LeafShape(leaf_type(e, r.scopes))
 
 
-def query_is_flat(nq: NormalQuery) -> bool:
-    try:
-        render_sql(nq)
-        return True
-    except BackendError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Execution
 
 
-def execute(conn, q: SqlQuery, result_ty: Optional[S.Type] = None, decoder=None) -> V.VList:
+def execute(conn, q: SqlQuery) -> V.VList:
     """Run a rendered query and decode rows back to values (multiset
     semantics: row order is not meaningful)."""
     shape = getattr(q, "shape", None)
@@ -445,27 +394,44 @@ def execute(conn, q: SqlQuery, result_ty: Optional[S.Type] = None, decoder=None)
         rows = conn.execute(q.to_sql()).fetchall()
     except Exception as exc:  # connection/SQL failure
         raise BackendError(f"SQL execution failed: {exc}") from exc
-    width, decode = decoder if decoder is not None else compile_decoder(shape)
+    width, decode = compile_decoder(shape)
     if rows and len(rows[0]) != width:
         raise BackendError("decode mismatch: column count")
     return V.VList(tuple(decode(row, 0) for row in rows))
 
 
-class PlanExecutor:
-    """Hybrid evaluation of normal queries.
+@dataclass
+class _Statement:
+    """A plan branch's one SQL statement, outer projections as placeholders.
 
-    Fully flat queries go to the database in one statement.  Otherwise the
-    flat skeleton of each branch is fetched by SQL and the result record
-    (including nested subqueries, re-run per outer row with memoization) is
-    assembled in memory.
+    A flat statement's rows decode to results.  A skeleton statement's rows
+    decode to the generators' rows, on which the ``residual`` conditions
+    and the result are evaluated in memory.
+    """
+
+    kind: str  # "sql" (flat) or "sql-skeleton", as listed by explain
+    sql: str
+    slots: tuple  # (outer var, label) per placeholder, in text order
+    decode: Callable
+    residual: tuple = ()
+
+
+class PlanExecutor:
+    """Evaluation of normal queries, one SQL statement per plan branch.
+
+    A branch's statement is rendered on its first run and cached; each run
+    binds the outer row's values to its placeholders.  A branch whose
+    result renders flat is decoded straight from its rows.  Otherwise the
+    statement fetches the generators' rows, filtered by the conditions that
+    render, and the result (including nested subqueries, run per outer row
+    with memoization) is assembled in memory.
     """
 
     def __init__(self, conn, explain: Optional[list] = None):
         self.conn = conn
         self.memo: dict = {}
         self.freevar_cache: dict = {}
-        self.decoder_cache: dict = {}
-        self.prepared_cache: dict = {}
+        self.statements: dict = {}
         self.explain = explain
 
     def run(self, nq: NormalQuery, env: Optional[dict[str, V.Value]] = None) -> V.VList:
@@ -487,130 +453,23 @@ class PlanExecutor:
         return V.VList(tuple(items))
 
     def _branch(self, b: Branch, env: dict[str, V.Value]) -> list[V.Value]:
-        if all(isinstance(g, TableGen) for g in b.gens):
-            prepared = self._prepared(b)
-            if prepared is not None:
-                sql, slots, width, decode = prepared
-                try:
-                    args = [_param_value(env[var], label) for var, label in slots]
-                except (KeyError, _NotRenderable):
-                    args = None
-                if args is not None:
-                    if self.explain is not None:
-                        self.explain.append(("sql", sql))
-                    rows = self.conn.execute(sql, args).fetchall()
-                    if rows and len(rows[0]) != width:
-                        raise BackendError("decode mismatch: column count")
-                    return [decode(row, 0) for row in rows]
-            try:
-                q = render_sql(_ground_query(NormalQuery([b]), env))
-                if self.explain is not None:
-                    self.explain.append(("sql", q.to_sql()))
-                dec = self.decoder_cache.get(id(b))
-                if dec is None:
-                    dec = self.decoder_cache[id(b)] = compile_decoder(q.shape)
-                return list(execute(self.conn, q, decoder=dec).items)
-            except BackendError:
-                pass
-            return self._branch_sql_skeleton(b, env)
-        return self._branch_memory(b, env)
-
-    def _prepared(self, b: Branch):
-        """A parameterized statement for a branch, rendered once: correlated
-        outer projections become placeholders bound per call."""
-        key = id(b)
-        if key in self.prepared_cache:
-            return self.prepared_cache[key]
-        entry = None
-        try:
-            fvs = self._branch_free_vars(b)
-            pb = _parametrize_branch(b, fvs)
-            params: list = []
-            q = render_sql(NormalQuery([pb]), params=params)
-            width, decode = compile_decoder(q.shape)
-            entry = (q.to_sql(), tuple(params), width, decode)
-        except (BackendError, _NotRenderable):
-            entry = None
-        self.prepared_cache[key] = entry
-        return entry
-
-    def _branch_sql_skeleton(self, b: Branch, env: dict[str, V.Value]) -> list[V.Value]:
-        scopes: dict[str, tuple[str, S.Row]] = {}
-        from_ = []
-        for g in b.gens:
-            alias = f"t{len(scopes)}"
-            scopes[g.var] = (alias, g.row)
-            from_.append((g.table, alias))
-        r = _Renderer(scopes)
-        pushed, residual = [], []
-        for c in b.conds:
-            try:
-                pushed.append(r.expr(_ground_expr(c, env), True))
-            except _NotRenderable:
-                residual.append(c)
-        select = []
-        for g in b.gens:
-            alias, row = scopes[g.var]
-            for label, _ in row:
-                select.append((f"{qident(alias)}.{qident(label)}", f"{g.var}_{label}"))
-        stmt = SqlSelect(select, from_, pushed)
+        st = self.statements.get(id(b))
+        if st is None:
+            st = self.statements[id(b)] = _statement(b, env)
         if self.explain is not None:
-            self.explain.append(("sql-skeleton", stmt.to_sql()))
-        rows = self.conn.execute(stmt.to_sql()).fetchall()
-        # row labels are already in canonical order (rows are sorted maps)
-        bool_cols = [
-            [ty == S.BOOL for _, ty in g.row] for g in b.gens
-        ]
+            self.explain.append((st.kind, st.sql))
+        args = [env[var].get(label).value for var, label in st.slots]
+        rows = self.conn.execute(st.sql, args).fetchall()
+        if st.kind == "sql":
+            return [st.decode(row, 0) for row in rows]
+        names = [g.var for g in b.gens]
         out = []
-        for raw in rows:
+        for row in rows:
             benv = dict(env)
-            pos = 0
-            for g, bools in zip(b.gens, bool_cols):
-                fields = []
-                for (label, _), is_bool in zip(g.row, bools):
-                    x = raw[pos]
-                    pos += 1
-                    fields.append((label, V.VConst(bool(x) if is_bool else x)))
-                benv[g.var] = V.VRecord(tuple(fields))
-            if all(self._truth(c, benv) for c in residual):
+            benv.update(zip(names, st.decode(row, 0).items))
+            if all(self._truth(c, benv) for c in st.residual):
                 out.append(self.eval_expr(b.result, benv))
         return out
-
-    def _branch_memory(self, b: Branch, env: dict[str, V.Value]) -> list[V.Value]:
-        def loop(i: int, benv: dict[str, V.Value], acc: list):
-            if i == len(b.gens):
-                if all(self._truth(c, benv) for c in b.conds):
-                    acc.append(self.eval_expr(b.result, benv))
-                return
-            g = b.gens[i]
-            if isinstance(g, TableGen):
-                rows = self._table_rows(g)
-            else:
-                rows = self.run(g.query, benv)
-            for item in rows.items:
-                benv2 = dict(benv)
-                benv2[g.var] = item
-                loop(i + 1, benv2, acc)
-
-        acc: list[V.Value] = []
-        loop(0, dict(env), acc)
-        return acc
-
-    def _table_rows(self, g: TableGen) -> V.VList:
-        key = ("table", g.table)
-        if key in self.memo:
-            return self.memo[key]
-        cols = ", ".join(qident(l) for l, _ in g.row)
-        rows = self.conn.execute(f"SELECT {cols} FROM {qident(g.table)}").fetchall()
-        out = []
-        for raw in rows:
-            fields = []
-            for (label, ty), x in zip(g.row, raw):
-                fields.append((label, V.VConst(bool(x) if ty == S.BOOL else x)))
-            out.append(V.VRecord(tuple(fields)))
-        v = V.VList(tuple(out))
-        self.memo[key] = v
-        return v
 
     def _truth(self, c: S.Expr, env: dict[str, V.Value]) -> bool:
         v = self.eval_expr(c, env)
@@ -656,15 +515,9 @@ class PlanExecutor:
 
 def _branch_free_vars(b: Branch) -> frozenset:
     out: set[str] = set()
-    bound: set[str] = set()
-    for g in b.gens:
-        if isinstance(g, QueryGen):
-            out |= _query_free_vars(g.query) - bound
-        bound.add(g.var)
-    for c in b.conds:
-        out |= _expr_free_vars(c) - bound
-    out |= _expr_free_vars(b.result) - bound
-    return frozenset(out)
+    for e in [*b.conds, b.result]:
+        out |= _expr_free_vars(e)
+    return frozenset(out - {g.var for g in b.gens})
 
 
 def _query_free_vars(nq: NormalQuery) -> frozenset:
@@ -685,88 +538,65 @@ def _expr_free_vars(e: S.Expr) -> set[str]:
     return out
 
 
-def _param_value(row: V.Value, label: str):
-    if not isinstance(row, V.VRecord):
-        raise _NotRenderable()
-    v = V.strip_annotations(row.get(label))
-    if not isinstance(v, V.VConst):
-        raise _NotRenderable()
-    x = v.value
-    return int(x) if isinstance(x, bool) else x
-
-
-def _parametrize_branch(b: Branch, fvs: frozenset) -> Branch:
-    """Replace projections of outer variables by placeholder slots."""
-
-    def walk(e: S.Expr, bound: frozenset) -> S.Expr:
-        if (
-            isinstance(e, S.Project)
-            and isinstance(e.expr, S.Var)
-            and e.expr.name in fvs
-            and e.expr.name not in bound
-        ):
-            return ParamRef(e.expr.name, e.label)
-        if isinstance(e, S.Var) and e.name in fvs and e.name not in bound:
-            raise _NotRenderable()  # whole-row references cannot be bound
-        if isinstance(e, SubQuery):
-            out = []
-            for sb in e.query.branches:
-                inner_bound = bound | {g.var for g in sb.gens}
-                if any(isinstance(g, QueryGen) for g in sb.gens):
-                    raise _NotRenderable()
-                out.append(
-                    Branch(
-                        list(sb.gens),
-                        [walk(c, inner_bound) for c in sb.conds],
-                        walk(sb.result, inner_bound),
-                    )
-                )
-            return SubQuery(NormalQuery(out))
-        return S.map_children(e, lambda c: walk(c, bound))
-
-    bound0 = frozenset(g.var for g in b.gens)
-    return Branch(
-        list(b.gens),
-        [walk(c, bound0) for c in b.conds],
-        walk(b.result, bound0),
-    )
-
-
-def _ground_expr(e: S.Expr, env: dict[str, V.Value]) -> S.Expr:
-    """Substitute outer-variable references by literal values."""
-    if isinstance(e, S.Var) and e.name in env:
-        return S.ValueLit(env[e.name])
-    if isinstance(e, S.Project) and isinstance(e.expr, S.Var) and e.expr.name in env:
-        v = env[e.expr.name]
-        if isinstance(v, V.VRecord):
-            return S.ValueLit(v.get(e.label))
-    if isinstance(e, SubQuery):
-        return SubQuery(_ground_query(e.query, env))
-    return S.map_children(e, lambda c: _ground_expr(c, env))
-
-
-def _ground_query(nq: NormalQuery, env: dict[str, V.Value]) -> NormalQuery:
-    if not env:
-        return nq
-    out = []
-    for b in nq.branches:
-        bound: set[str] = set()
-        gens: list[Gen] = []
-        for g in b.gens:
-            if isinstance(g, QueryGen):
-                gens.append(QueryGen(g.var, _ground_query(g.query, env)))
-            else:
-                gens.append(g)
-            bound.add(g.var)
-        live = {k: v for k, v in env.items() if k not in bound}
-        out.append(
-            Branch(
-                gens,
-                [_ground_expr(c, live) for c in b.conds],
-                _ground_expr(b.result, live),
-            )
+def _statement(b: Branch, env: dict[str, V.Value]) -> _Statement:
+    """Render a branch's statement.  Placeholders take the types of the
+    values ``env`` binds at this first run, which hold for every run: a
+    branch's outer variables are always bound by the same enclosing table
+    generators."""
+    bound = frozenset(g.var for g in b.gens)
+    slots: list = []
+    try:
+        pb = Branch(
+            b.gens,
+            [_parametrize(c, env, bound) for c in b.conds],
+            _parametrize(b.result, env, bound),
         )
-    return NormalQuery(out)
+        q = render_sql(NormalQuery([pb]), params=slots)
+        return _Statement("sql", q.to_sql(), tuple(slots), compile_decoder(q.shape)[1])
+    except (BackendError, _NotRenderable):
+        slots.clear()
+    scopes, from_ = _generator_scopes(b.gens)
+    where, residual = [], []
+    for c in b.conds:
+        # a condition that does not render must leave no placeholder slots
+        cslots: list = []
+        try:
+            where.append(_Renderer(scopes, cslots).expr(_parametrize(c, env, bound), True))
+            slots.extend(cslots)
+        except _NotRenderable:
+            residual.append(c)
+    select = [
+        (f"{qident(scopes[g.var][0])}.{qident(label)}", f"{g.var}_{label}")
+        for g in b.gens
+        for label, _ in g.row
+    ]
+    shape = ListShape([RecordShape([(l, LeafShape(ty)) for l, ty in g.row]) for g in b.gens])
+    sql = SqlSelect(select, from_, where).to_sql()
+    return _Statement("sql-skeleton", sql, tuple(slots), compile_decoder(shape)[1], tuple(residual))
+
+
+def _parametrize(e: S.Expr, env: dict[str, V.Value], bound: frozenset) -> S.Expr:
+    """Replace projections of the outer variables bound in ``env`` by
+    placeholders, typed by the values bound there."""
+    if isinstance(e, S.Project) and isinstance(e.expr, S.Var):
+        name = e.expr.name
+        if name in env and name not in bound:
+            return ParamRef(name, e.label, _const_type(env[name].get(e.label).value))
+    if isinstance(e, S.Var) and e.name in env and e.name not in bound:
+        raise _NotRenderable()  # whole-row references cannot be bound
+    if isinstance(e, SubQuery):
+        out = []
+        for sb in e.query.branches:
+            inner = bound | {g.var for g in sb.gens}
+            out.append(
+                Branch(
+                    sb.gens,
+                    [_parametrize(c, env, inner) for c in sb.conds],
+                    _parametrize(sb.result, env, inner),
+                )
+            )
+        return SubQuery(NormalQuery(out))
+    return S.map_children(e, lambda c: _parametrize(c, env, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -902,12 +732,12 @@ def apply_update(conn, stmt: S.Expr, schema: dict[str, S.Row]) -> None:
         row = schema[table.name]
         r = _Renderer({stmt.var: ("", row)})
         try:
-            pred = _strip_alias(r.expr(rewrite_fixpoint(stmt.pred), True))
+            pred = r.expr(rewrite_fixpoint(stmt.pred), True)
             sets = []
             for label, x in stmt.assigns:
                 if label == OID:
                     raise BackendError("attempt to write oid")
-                sets.append(f"{qident(label)} = {_strip_alias(r.expr(rewrite_fixpoint(x)))}")
+                sets.append(f"{qident(label)} = {r.expr(rewrite_fixpoint(x))}")
         except _NotRenderable:
             raise BackendError("update clause is not SQL-renderable") from None
         conn.execute(
@@ -920,7 +750,7 @@ def apply_update(conn, stmt: S.Expr, schema: dict[str, S.Row]) -> None:
         row = schema[table.name]
         r = _Renderer({stmt.var: ("", row)})
         try:
-            pred = _strip_alias(r.expr(rewrite_fixpoint(stmt.pred), True))
+            pred = r.expr(rewrite_fixpoint(stmt.pred), True)
         except _NotRenderable:
             raise BackendError("delete predicate is not SQL-renderable") from None
         conn.execute(f"DELETE FROM {qident(table.name)} WHERE {pred}")
@@ -938,10 +768,6 @@ def _resolve_table(e: S.Expr) -> S.TableRef:
     if not isinstance(t, S.TableRef):
         raise BackendError("update target is not a table")
     return t
-
-
-def _strip_alias(sql: str) -> str:
-    return sql.replace('"".', "")
 
 
 # ---------------------------------------------------------------------------
@@ -998,16 +824,6 @@ def generate_benchmark_data(
                     "tasks", [{"employee": emp, "task": rng.choice(TASK_NAMES)}]
                 )
     return db
-
-
-def generate_benchmark_db(
-    cfg: ConnectionConfig, departments: int, seed: int, employees_per_dept: int = 100
-):
-    """Generate and load the benchmark database; returns the connection."""
-    db = generate_benchmark_data(departments, seed, employees_per_dept)
-    conn = connect(cfg)
-    load_database(conn, db)
-    return conn
 
 
 def bench_schema_rows() -> dict[str, S.Row]:

@@ -18,7 +18,7 @@ from provql.normalize import (
     rewrite_fixpoint,
     rewrite_step,
 )
-from provql.parser import parse_expr, parse_program
+from provql.parser import parse_expr, parse_program, pretty_print_program
 from provql.progen import ProgGen
 from provql.typecheck import Mode, typecheck_program
 
@@ -93,8 +93,48 @@ class TestNormalize:
 
     def test_nonnormalizable_reports_span(self):
         e = parse_expr("for (x <- unknown_fn(1)) [x]")
-        with pytest.raises(NormalizeError):
+        with pytest.raises(NormalizeError, match="not a table") as exc:
             normalize(e)
+        assert exc.value.span is not None
+
+
+def _generators(nq: NormalQuery):
+    """Every generator of a plan, nested subqueries' included."""
+    for b in nq.branches:
+        yield from b.gens
+        for e in [*b.conds, b.result]:
+            for node in S.walk(e):
+                if isinstance(node, SubQuery):
+                    yield from _generators(node.query)
+
+
+class TestTableGeneratorsOnly:
+    """Normal forms over flat tables have table generators only."""
+
+    @pytest.mark.parametrize(
+        "suite,query,variant",
+        [
+            (name, q, v)
+            for name, suite in (("where", suites.WHERE_SUITE), ("lineage", suites.LINEAGE_SUITE))
+            for q in suite
+            for v in suite[q]
+        ],
+    )
+    def test_suite_programs(self, suite, query, variant):
+        table = suites.WHERE_SUITE if suite == "where" else suites.LINEAGE_SUITE
+        mode = {"allprov": Mode.WHERE, "someprov": Mode.WHERE, "lineage": Mode.LINEAGE}.get(
+            variant, Mode.PLAIN
+        )
+        nq = pipeline.normalized_query(pipeline.prepare(table[query][variant], mode))
+        gens = list(_generators(nq))
+        assert gens and all(isinstance(g, TableGen) for g in gens)
+
+    @pytest.mark.parametrize("mode", [Mode.PLAIN, Mode.WHERE, Mode.LINEAGE])
+    def test_generated_nested_programs(self, mode):
+        for i in range(100):
+            prog = ProgGen(90_000 + i, mode, max_depth=4).program(flat=False)
+            nq = pipeline.normalized_query(pipeline.prepare(pretty_print_program(prog), mode))
+            assert all(isinstance(g, TableGen) for g in _generators(nq)), i
 
 
 class TestSoundness:

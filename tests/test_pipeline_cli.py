@@ -32,6 +32,21 @@ class TestPipeline:
             "\n", ""
         ) or ".2()" in result.outputs["translated"]
 
+    @pytest.mark.parametrize("engine,reps", [("sql", 1), ("both", 3)])
+    def test_normalizes_once_per_run(self, tours_db, monkeypatch, engine, reps):
+        calls = []
+        normalize = pipeline.normalize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return normalize(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "normalize", counting)
+        cfg = pipeline.RunConfig(mode=Mode.WHERE, engine=engine, repetitions=reps, emit_sql=True)
+        result = pipeline.run(suites.BOAT_TOURS_WHERE, cfg, db=tours_db)
+        assert len(result.timings_ms) == reps
+        assert len(calls) == 1
+
     def test_explain_lists_plan(self, tours_db):
         cfg = pipeline.RunConfig(mode=Mode.PLAIN, engine="sql", explain=True)
         result = pipeline.run(suites.BOAT_TOURS, cfg, db=tours_db)
