@@ -7,7 +7,8 @@ result record.  Normal forms over flat tables have only table generators
 (Cooper, "The script-writer's dream", DBPL 2009); a generator over anything
 else is reported as an error.  Nested collection results become subquery
 trees whose branches also have only table generators; each branch runs as
-one SQL statement, an inner one once per outer row.
+one SQL statement per query, whatever its nesting depth (see
+`sqlbackend.PlanExecutor`).
 """
 
 from __future__ import annotations

@@ -2,14 +2,16 @@
 translate updates, and generate the benchmark database.
 
 The backend is embedded SQLite.  Emitted SQL stays within the common
-dialect subset (SELECT / UNION ALL / scalar operators / EXISTS); oids are
+dialect subset (SELECT / UNION ALL / scalar operators / EXISTS / ORDER BY),
+plus SQLite's rowids, which key the rows of nested results; oids are
 explicit integer columns assigned from per-table sequences managed by this
 module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import count, groupby
 from random import Random
 from typing import Callable, Optional, Union
 
@@ -30,6 +32,7 @@ class SqlSelect:
     select: list[tuple[str, str]]  # (expression, alias)
     from_: list[tuple[str, str]]  # (table, alias)
     where: list[str]
+    order_by: list[str] = field(default_factory=list)
 
     def to_sql(self) -> str:
         cols = ", ".join(f"{e} AS {qident(a)}" for e, a in self.select) or "1"
@@ -38,6 +41,8 @@ class SqlSelect:
             out += " FROM " + ", ".join(f"{qident(t)} AS {qident(a)}" for t, a in self.from_)
         if self.where:
             out += " WHERE " + " AND ".join(self.where)
+        if self.order_by:
+            out += " ORDER BY " + ", ".join(self.order_by)
         return out
 
 
@@ -78,20 +83,22 @@ class ListShape:
     cells: list["Shape"]
 
 
-Shape = Union[LeafShape, RecordShape, ListShape]
+@dataclass
+class HoleShape:
+    """A nested list, zero columns wide, filled from a child level (see
+    `PlanExecutor`)."""
+
+    hole: "_Hole"
 
 
-def shape_columns(shape: Shape) -> int:
-    if isinstance(shape, LeafShape):
-        return 1
-    if isinstance(shape, RecordShape):
-        return sum(shape_columns(s) for _, s in shape.fields)
-    return sum(shape_columns(s) for s in shape.cells)
+Shape = Union[LeafShape, RecordShape, ListShape, HoleShape]
 
 
 def shape_names(shape: Shape, prefix: str = "") -> list[str]:
     if isinstance(shape, LeafShape):
         return [prefix or "value"]
+    if isinstance(shape, HoleShape):
+        return []
     out = []
     if isinstance(shape, RecordShape):
         for l, s in shape.fields:
@@ -122,6 +129,11 @@ def compile_decoder(shape: Shape):
             return v
 
         return 1, leaf
+    if isinstance(shape, HoleShape):
+        # the row's own key is its leading columns: the rowids of every
+        # generator in scope
+        hole, n = shape.hole, shape.hole.key_width
+        return 0, lambda row, pos: hole.groups.get(row[:n], _EMPTY)
     if isinstance(shape, RecordShape):
         subs = []
         offset = 0
@@ -180,30 +192,27 @@ class _NotRenderable(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ParamRef(S.Expr):
-    """A correlated outer-variable projection, rendered as a placeholder."""
-
-    var: str
-    label: str
-    ty: S.Type  # base type, for decoding and boolean placement
-
-
 class _Renderer:
     """Renders normal-form expressions against generator aliases."""
 
-    def __init__(self, scopes: dict[str, tuple[str, S.Row]], params: Optional[list] = None):
-        # var -> (sql alias, row type); an empty alias renders unqualified
-        # columns, as UPDATE and DELETE statements need
-        self.scopes = scopes
-        self.params = params  # ordered (var, label) slots when parameterizing
+    def __init__(self, scopes: Optional[dict[str, tuple[str, S.Row]]] = None, aliases=None):
+        self.scopes = scopes or {}  # var -> (sql alias, row type)
+        # numbers every FROM entry of a statement, subqueries' included, so
+        # no two entries share an alias even where a variable is shadowed
+        self.aliases = aliases if aliases is not None else count()
+
+    def bind(self, gens: list[TableGen]) -> tuple["_Renderer", list[tuple[str, str]]]:
+        """A renderer whose scopes add ``gens`` under fresh aliases, and
+        their FROM entries."""
+        scopes = dict(self.scopes)
+        from_ = []
+        for g in gens:
+            alias = f"t{next(self.aliases)}"
+            scopes[g.var] = (alias, g.row)
+            from_.append((g.table, alias))
+        return _Renderer(scopes, self.aliases), from_
 
     def expr(self, e: S.Expr, boolean: bool = False) -> str:
-        if isinstance(e, ParamRef):
-            self.params.append((e.var, e.label))
-            if boolean and e.ty == S.BOOL:
-                return "? <> 0"
-            return "?"
         if isinstance(e, S.Const):
             return self.const(e.value, boolean)
         if isinstance(e, S.ValueLit):
@@ -219,7 +228,7 @@ class _Renderer:
             ty = S.row_get(row, e.label)
             if ty is None:
                 raise _NotRenderable()
-            col = f"{qident(alias)}.{qident(e.label)}" if alias else qident(e.label)
+            col = f"{qident(alias)}.{qident(e.label)}"
             if boolean and ty == S.BOOL:
                 return f"{col} <> 0"
             return col
@@ -231,11 +240,14 @@ class _Renderer:
             b = self.expr(e.els, boolean)
             return f"CASE WHEN {c} THEN {a} ELSE {b} END"
         if isinstance(e, S.IsEmpty) and isinstance(e.coll, SubQuery):
-            sub = render_sql(e.coll.query, outer=self.scopes, params=self.params)
-            inner = "\nUNION ALL\n".join(
-                SqlSelect([("1", "x")], s.from_, s.where).to_sql() for s in sub.selects
-            )
-            return f"NOT EXISTS ({inner})"
+            # only the rows' existence matters: FROM and WHERE, no select list
+            selects = []
+            for b in e.coll.query.branches:
+                r, from_ = self.bind(b.gens)
+                selects.append(SqlSelect([], from_, [r.expr(c, True) for c in b.conds]).to_sql())
+            if not selects:
+                return self.const(True, boolean)
+            return f"NOT EXISTS ({' UNION ALL '.join(selects)})"
         raise _NotRenderable()
 
     def const(self, v, boolean: bool) -> str:
@@ -272,8 +284,6 @@ def _const_type(x) -> S.Type:
 
 
 def leaf_type(e: S.Expr, scopes: dict[str, tuple[str, S.Row]]) -> S.Type:
-    if isinstance(e, ParamRef):
-        return e.ty
     if isinstance(e, S.Const):
         return _const_type(e.value)
     if isinstance(e, S.ValueLit):
@@ -301,27 +311,19 @@ def leaf_type(e: S.Expr, scopes: dict[str, tuple[str, S.Row]]) -> S.Type:
 # render_sql
 
 
-def render_sql(
-    nq: NormalQuery,
-    outer: Optional[dict[str, tuple[str, S.Row]]] = None,
-    params: Optional[list] = None,
-) -> SqlQuery:
+def render_sql(nq: NormalQuery) -> SqlQuery:
     """Render a flat normal query to one SELECT per union branch.
 
     Record results flatten depth-first; static list cells flatten with
-    numbered suffixes.  Raises when a field is not flat.  When ``params``
-    is given, placeholder slots are appended to it in SQL text order.
+    numbered suffixes.  Raises when a field is not flat.
     """
     selects = []
     shape0: Optional[Shape] = None
     names0: Optional[list[str]] = None
     for b in nq.branches:
-        scopes, from_ = _generator_scopes(b.gens, outer)
-        r = _Renderer(scopes, params)
+        r, from_ = _Renderer().bind(b.gens)
         try:
-            # the select list renders before WHERE so placeholder order
-            # matches the statement text
-            cols, shape = _flatten_result(b.result, r, scopes)
+            cols, shape = _flatten_result(b.result, r)
             where = [r.expr(c, True) for c in b.conds]
         except _NotRenderable:
             raise BackendError("non-flat field in SQL rendering") from None
@@ -338,34 +340,28 @@ def render_sql(
     return q
 
 
-def _generator_scopes(gens: list[TableGen], outer=None):
-    """Renderer scopes and the FROM list for a branch's generators, with
-    aliases numbered after the enclosing scopes'."""
-    scopes = dict(outer or {})
-    from_ = []
-    for g in gens:
-        alias = f"t{len(scopes)}"
-        scopes[g.var] = (alias, g.row)
-        from_.append((g.table, alias))
-    return scopes, from_
-
-
-def _flatten_result(e: S.Expr, r: _Renderer, scopes) -> tuple[list[str], Shape]:
+def _flatten_result(
+    e: S.Expr, r: _Renderer, hole: Optional[Callable[[SubQuery], Shape]] = None
+) -> tuple[list[str], Shape]:
+    """Select-list columns and shape of a result.  A nested list becomes
+    ``hole(subquery)``, or is not renderable when ``hole`` is not given."""
     if isinstance(e, S.RecordLit):
         cols: list[str] = []
         fields = []
         for l, x in e.fields_:
-            c, s = _flatten_result(x, r, scopes)
+            c, s = _flatten_result(x, r, hole)
             cols.extend(c)
             fields.append((l, s))
         return cols, RecordShape(fields)
     if isinstance(e, SubQuery):
         if not e.query.is_static_list():
-            raise _NotRenderable()
+            if hole is None:
+                raise _NotRenderable()
+            return [], hole(e)
         cols = []
         cells = []
         for br in e.query.branches:
-            c, s = _flatten_result(br.result, r, scopes)
+            c, s = _flatten_result(br.result, r, hole)
             cols.extend(c)
             cells.append(s)
         return cols, ListShape(cells)
@@ -373,7 +369,7 @@ def _flatten_result(e: S.Expr, r: _Renderer, scopes) -> tuple[list[str], Shape]:
         cols = []
         fields = []
         for l, x in e.value.fields:
-            c, s = _flatten_result(S.ValueLit(x), r, scopes)
+            c, s = _flatten_result(S.ValueLit(x), r, hole)
             cols.extend(c)
             fields.append((l, s))
         return cols, RecordShape(fields)
@@ -400,203 +396,181 @@ def execute(conn, q: SqlQuery) -> V.VList:
     return V.VList(tuple(decode(row, 0) for row in rows))
 
 
-@dataclass
-class _Statement:
-    """A plan branch's one SQL statement, outer projections as placeholders.
+_EMPTY = V.VList(())
 
-    A flat statement's rows decode to results.  A skeleton statement's rows
-    decode to the generators' rows, on which the ``residual`` conditions
-    and the result are evaluated in memory.
+
+@dataclass
+class _Hole:
+    """The lists a (sub)query yields, one per combination of the enclosing
+    generators' rows, keyed by their rowids (``key_width`` of them)."""
+
+    levels: list["_Level"]  # one per union branch
+    key_width: int
+    groups: dict = field(default_factory=dict)  # key -> VList, during a run
+
+
+@dataclass
+class _Level:
+    """A plan branch's one SQL statement.
+
+    Its FROM list holds the generators of every enclosing branch and its
+    own, outermost first; its WHERE list their conditions that render; it
+    is ordered by their rowids.  Each row starts with the enclosing
+    generators' rowids (the group key), then its own generators' rowids
+    when it has holes to look up; ``decode(row, pos)`` reads the rest.
     """
 
     kind: str  # "sql" (flat) or "sql-skeleton", as listed by explain
     sql: str
-    slots: tuple  # (outer var, label) per placeholder, in text order
-    decode: Callable
-    residual: tuple = ()
+    pos: int  # key columns before the decoded ones
+    decode: Callable  # None for a row that fails a condition in memory
+    holes: list[_Hole]  # filled before this level runs
+
+
+def _compile(nq: NormalQuery, chain: tuple) -> _Hole:
+    """The levels of ``nq`` nested under the branches in ``chain``."""
+    return _Hole([_level(b, chain) for b in nq.branches], sum(len(o.gens) for o in chain))
+
+
+def _level(b: Branch, chain: tuple) -> _Level:
+    inner = (*chain, b)
+    r = _Renderer()
+    from_: list[tuple[str, str]] = []
+    where: list[str] = []
+    for o in inner:
+        # each branch's conditions render in its own scope, so an inner
+        # generator that shadows an outer variable does not capture the
+        # outer branch's references to it
+        r, entries = r.bind(o.gens)
+        from_.extend(entries)
+        residual = []  # an enclosing branch's are dealt with at its level
+        for c in o.conds:
+            try:
+                where.append(r.expr(c, True))
+            except _NotRenderable:
+                residual.append(c)
+    rowids = [f"{qident(alias)}.rowid" for _, alias in from_]
+    holes: list[_Hole] = []
+
+    def hole(sq: SubQuery) -> Shape:
+        holes.append(_compile(sq.query, inner))
+        return HoleShape(holes[-1])
+
+    try:
+        if residual:
+            raise _NotRenderable()
+        cols, shape = _flatten_result(b.result, r, hole)
+        kind, decode = "sql", compile_decoder(shape)[1]
+        select = list(zip(cols, shape_names(shape)))
+    except _NotRenderable:
+        # fetch every generator's row and evaluate in memory, with each
+        # SubQuery's lists looked up by the row's own key
+        subs = {
+            id(x): _compile(x.query, inner)
+            for e in (*residual, b.result)
+            for x in S.walk(e)
+            if isinstance(x, SubQuery)
+        }
+        holes = list(subs.values())
+        gens = [g for o in inner for g in o.gens]
+        select = [
+            (f"{qident(alias)}.{qident(label)}", f"{g.var}_{label}")
+            for g, (_, alias) in zip(gens, from_)
+            for label, _ in g.row
+        ]
+        gen_rows = compile_decoder(
+            ListShape([RecordShape([(l, LeafShape(ty)) for l, ty in g.row]) for g in gens])
+        )[1]
+
+        def decode(row, pos):
+            env = dict(zip((g.var for g in gens), gen_rows(row, pos).items))
+            lists = {i: h.groups.get(row[:pos], _EMPTY) for i, h in subs.items()}
+            if all(_eval(c, env, lists) == V.TRUE for c in residual):
+                return _eval(b.result, env, lists)
+            return None
+
+        kind = "sql-skeleton"
+    keys = rowids if holes else rowids[: len(rowids) - len(b.gens)]
+    select = [(k, f"k{i}") for i, k in enumerate(keys)] + select
+    return _Level(kind, SqlSelect(select, from_, where, rowids).to_sql(), len(keys), decode, holes)
+
+
+def _eval(e: S.Expr, env: dict[str, V.Value], lists: dict) -> V.Value:
+    """Evaluate ``e`` on one row: ``env`` binds the generators in scope,
+    ``lists`` the row's nested lists by `SubQuery` ``id``."""
+    if isinstance(e, S.Const):
+        return V.VConst(e.value)
+    if isinstance(e, S.ValueLit):
+        return e.value
+    if isinstance(e, S.Var):
+        if e.name not in env:
+            raise BackendError(f"unbound variable {e.name!r} in plan")
+        return env[e.name]
+    if isinstance(e, S.Project):
+        v = _eval(e.expr, env, lists)
+        if not isinstance(v, V.VRecord):
+            raise BackendError("projection from non-record in plan")
+        return v.get(e.label)
+    if isinstance(e, S.RecordLit):
+        return V.vrecord([(l, _eval(x, env, lists)) for l, x in e.fields_])
+    if isinstance(e, S.Prim):
+        return delta(e.op, [_eval(a, env, lists) for a in e.args])
+    if isinstance(e, S.If):
+        cond = _eval(e.cond, env, lists) == V.TRUE
+        return _eval(e.then if cond else e.els, env, lists)
+    if isinstance(e, SubQuery):
+        return lists[id(e)]
+    if isinstance(e, S.IsEmpty):
+        coll = _eval(e.coll, env, lists)
+        return V.VConst(len(coll.items) == 0)  # type: ignore[union-attr]
+    raise BackendError(f"cannot evaluate {type(e).__name__} in plan")
 
 
 class PlanExecutor:
-    """Evaluation of normal queries, one SQL statement per plan branch.
+    """Evaluation of normal queries by query shredding: each plan branch,
+    at any nesting depth, runs as one SQL statement per `run`.
 
-    A branch's statement is rendered on its first run and cached; each run
-    binds the outer row's values to its placeholders.  A branch whose
-    result renders flat is decoded straight from its rows.  Otherwise the
-    statement fetches the generators' rows, filtered by the conditions that
-    render, and the result (including nested subqueries, run per outer row
-    with memoization) is assembled in memory.
+    A nested list in a result is a hole in the decoder, filled from the
+    rows of the nested query's branches, grouped by the rowids of the
+    generators that enclose them; these run before the branch that holds
+    the hole.  A branch whose conditions or result do not render fetches
+    its generators' rows and builds its result in memory.  Plans are
+    compiled on their first run and cached.
     """
 
     def __init__(self, conn, explain: Optional[list] = None):
         self.conn = conn
-        self.memo: dict = {}
-        self.freevar_cache: dict = {}
-        self.statements: dict = {}
+        self.plans: dict = {}
         self.explain = explain
 
-    def run(self, nq: NormalQuery, env: Optional[dict[str, V.Value]] = None) -> V.VList:
-        # Memoization is per branch: the branches of a union usually depend
-        # on different outer variables, so their caches must not be keyed on
-        # the union of all of them.
-        env = env or {}
-        items: list[V.Value] = []
-        for b in nq.branches:
-            fvs = self._branch_free_vars(b)
-            relevant = {k: env[k] for k in fvs if k in env}
-            key = (
-                id(b),
-                tuple(sorted((k, V.serialize(v)) for k, v in relevant.items())),
-            )
-            if key not in self.memo:
-                self.memo[key] = self._branch(b, relevant)
-            items.extend(self.memo[key])
-        return V.VList(tuple(items))
-
-    def _branch(self, b: Branch, env: dict[str, V.Value]) -> list[V.Value]:
-        st = self.statements.get(id(b))
-        if st is None:
-            st = self.statements[id(b)] = _statement(b, env)
-        if self.explain is not None:
-            self.explain.append((st.kind, st.sql))
-        args = [env[var].get(label).value for var, label in st.slots]
-        rows = self.conn.execute(st.sql, args).fetchall()
-        if st.kind == "sql":
-            return [st.decode(row, 0) for row in rows]
-        names = [g.var for g in b.gens]
-        out = []
-        for row in rows:
-            benv = dict(env)
-            benv.update(zip(names, st.decode(row, 0).items))
-            if all(self._truth(c, benv) for c in st.residual):
-                out.append(self.eval_expr(b.result, benv))
+    def run(self, nq: NormalQuery) -> V.VList:
+        cached = self.plans.get(id(nq))
+        if cached is None or cached[0] is not nq:
+            cached = self.plans[id(nq)] = (nq, _compile(nq, ()))
+        root = cached[1]
+        self._fill(root)
+        out = root.groups.get((), _EMPTY)
+        root.groups = {}
         return out
 
-    def _truth(self, c: S.Expr, env: dict[str, V.Value]) -> bool:
-        v = self.eval_expr(c, env)
-        return v == V.TRUE
-
-    def eval_expr(self, e: S.Expr, env: dict[str, V.Value]) -> V.Value:
-        if isinstance(e, S.Const):
-            return V.VConst(e.value)
-        if isinstance(e, S.ValueLit):
-            return e.value
-        if isinstance(e, S.Var):
-            if e.name not in env:
-                raise BackendError(f"unbound variable {e.name!r} in plan")
-            return env[e.name]
-        if isinstance(e, S.Project):
-            v = self.eval_expr(e.expr, env)
-            if not isinstance(v, V.VRecord):
-                raise BackendError("projection from non-record in plan")
-            return v.get(e.label)
-        if isinstance(e, S.RecordLit):
-            return V.vrecord([(l, self.eval_expr(x, env)) for l, x in e.fields_])
-        if isinstance(e, S.Prim):
-            return delta(e.op, [self.eval_expr(a, env) for a in e.args])
-        if isinstance(e, S.If):
-            return self.eval_expr(
-                e.then if self._truth(e.cond, env) else e.els, env
-            )
-        if isinstance(e, SubQuery):
-            return self.run(e.query, env)
-        if isinstance(e, S.IsEmpty):
-            coll = self.eval_expr(e.coll, env)
-            return V.VConst(len(coll.items) == 0)  # type: ignore[union-attr]
-        raise BackendError(f"cannot evaluate {type(e).__name__} in plan")
-
-    def _branch_free_vars(self, b: Branch) -> frozenset:
-        key = id(b)
-        if key in self.freevar_cache:
-            return self.freevar_cache[key]
-        out = _branch_free_vars(b)
-        self.freevar_cache[key] = out
-        return out
-
-
-def _branch_free_vars(b: Branch) -> frozenset:
-    out: set[str] = set()
-    for e in [*b.conds, b.result]:
-        out |= _expr_free_vars(e)
-    return frozenset(out - {g.var for g in b.gens})
-
-
-def _query_free_vars(nq: NormalQuery) -> frozenset:
-    out: set[str] = set()
-    for b in nq.branches:
-        out |= _branch_free_vars(b)
-    return frozenset(out)
-
-
-def _expr_free_vars(e: S.Expr) -> set[str]:
-    if isinstance(e, SubQuery):
-        return set(_query_free_vars(e.query))
-    out: set[str] = set()
-    if isinstance(e, S.Var):
-        out.add(e.name)
-    for c in e.children():
-        out |= _expr_free_vars(c)
-    return out
-
-
-def _statement(b: Branch, env: dict[str, V.Value]) -> _Statement:
-    """Render a branch's statement.  Placeholders take the types of the
-    values ``env`` binds at this first run, which hold for every run: a
-    branch's outer variables are always bound by the same enclosing table
-    generators."""
-    bound = frozenset(g.var for g in b.gens)
-    slots: list = []
-    try:
-        pb = Branch(
-            b.gens,
-            [_parametrize(c, env, bound) for c in b.conds],
-            _parametrize(b.result, env, bound),
-        )
-        q = render_sql(NormalQuery([pb]), params=slots)
-        return _Statement("sql", q.to_sql(), tuple(slots), compile_decoder(q.shape)[1])
-    except (BackendError, _NotRenderable):
-        slots.clear()
-    scopes, from_ = _generator_scopes(b.gens)
-    where, residual = [], []
-    for c in b.conds:
-        # a condition that does not render must leave no placeholder slots
-        cslots: list = []
-        try:
-            where.append(_Renderer(scopes, cslots).expr(_parametrize(c, env, bound), True))
-            slots.extend(cslots)
-        except _NotRenderable:
-            residual.append(c)
-    select = [
-        (f"{qident(scopes[g.var][0])}.{qident(label)}", f"{g.var}_{label}")
-        for g in b.gens
-        for label, _ in g.row
-    ]
-    shape = ListShape([RecordShape([(l, LeafShape(ty)) for l, ty in g.row]) for g in b.gens])
-    sql = SqlSelect(select, from_, where).to_sql()
-    return _Statement("sql-skeleton", sql, tuple(slots), compile_decoder(shape)[1], tuple(residual))
-
-
-def _parametrize(e: S.Expr, env: dict[str, V.Value], bound: frozenset) -> S.Expr:
-    """Replace projections of the outer variables bound in ``env`` by
-    placeholders, typed by the values bound there."""
-    if isinstance(e, S.Project) and isinstance(e.expr, S.Var):
-        name = e.expr.name
-        if name in env and name not in bound:
-            return ParamRef(name, e.label, _const_type(env[name].get(e.label).value))
-    if isinstance(e, S.Var) and e.name in env and e.name not in bound:
-        raise _NotRenderable()  # whole-row references cannot be bound
-    if isinstance(e, SubQuery):
-        out = []
-        for sb in e.query.branches:
-            inner = bound | {g.var for g in sb.gens}
-            out.append(
-                Branch(
-                    sb.gens,
-                    [_parametrize(c, env, inner) for c in sb.conds],
-                    _parametrize(sb.result, env, inner),
-                )
-            )
-        return SubQuery(NormalQuery(out))
-    return S.map_children(e, lambda c: _parametrize(c, env, bound))
+    def _fill(self, hole: _Hole) -> None:
+        n = hole.key_width
+        groups: dict = {}
+        for level in hole.levels:
+            for h in level.holes:
+                self._fill(h)
+            if self.explain is not None:
+                self.explain.append((level.kind, level.sql))
+            rows = self.conn.execute(level.sql).fetchall()
+            pos, decode = level.pos, level.decode
+            # rows come ordered by key, so each group is one run of rows;
+            # union branches append to a key's items in branch order
+            for key, run in groupby(rows, lambda row: row[:n]):
+                items = groups.setdefault(key, [])
+                items.extend(x for row in run if (x := decode(row, pos)) is not None)
+            for h in level.holes:
+                h.groups = {}
+        hole.groups = {key: V.VList(tuple(items)) for key, items in groups.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +670,7 @@ def _next_oids(conn, table: str, count: int) -> list[int]:
 
 def apply_update(conn, stmt: S.Expr, schema: dict[str, S.Row]) -> None:
     """Translate one insert/update/delete statement to SQL and run it."""
-    from .normalize import rewrite_fixpoint
+    from .normalize import _norm_cond, rewrite_fixpoint
     from .interp import eval_big
     from .typecheck import Mode
 
@@ -727,36 +701,30 @@ def apply_update(conn, stmt: S.Expr, schema: dict[str, S.Row]) -> None:
             )
         conn.commit()
         return
-    if isinstance(stmt, S.Update):
-        table = _resolve_table(stmt.table)
-        row = schema[table.name]
-        r = _Renderer({stmt.var: ("", row)})
-        try:
-            pred = r.expr(rewrite_fixpoint(stmt.pred), True)
-            sets = []
-            for label, x in stmt.assigns:
-                if label == OID:
-                    raise BackendError("attempt to write oid")
-                sets.append(f"{qident(label)} = {r.expr(rewrite_fixpoint(x))}")
-        except _NotRenderable:
-            raise BackendError("update clause is not SQL-renderable") from None
-        conn.execute(
-            f"UPDATE {qident(table.name)} SET {', '.join(sets)} WHERE {pred}"
-        )
-        conn.commit()
-        return
-    if isinstance(stmt, S.Delete):
-        table = _resolve_table(stmt.table)
-        row = schema[table.name]
-        r = _Renderer({stmt.var: ("", row)})
-        try:
-            pred = r.expr(rewrite_fixpoint(stmt.pred), True)
-        except _NotRenderable:
-            raise BackendError("delete predicate is not SQL-renderable") from None
-        conn.execute(f"DELETE FROM {qident(table.name)} WHERE {pred}")
-        conn.commit()
-        return
-    raise BackendError(f"not an update statement: {type(stmt).__name__}")
+    if not isinstance(stmt, (S.Update, S.Delete)):
+        raise BackendError(f"not an update statement: {type(stmt).__name__}")
+    table = _resolve_table(stmt.table)
+    # the target has an alias, so a correlated subquery over the same table
+    # cannot capture its columns
+    r, ((_, alias),) = _Renderer().bind([TableGen(stmt.var, table.name, schema[table.name])])
+    target = f"{qident(table.name)} AS {qident(alias)}"
+    if isinstance(stmt, S.Update) and any(label == OID for label, _ in stmt.assigns):
+        raise BackendError("attempt to write oid")
+    try:
+        pred = r.expr(_norm_cond(rewrite_fixpoint(stmt.pred)), True)
+        if isinstance(stmt, S.Update):
+            sets = ", ".join(
+                f"{qident(label)} = {r.expr(_norm_cond(rewrite_fixpoint(x)))}"
+                for label, x in stmt.assigns
+            )
+            sql = f"UPDATE {target} SET {sets} WHERE {pred}"
+        else:
+            sql = f"DELETE FROM {target} WHERE {pred}"
+    except _NotRenderable:
+        what = "update clause" if isinstance(stmt, S.Update) else "delete predicate"
+        raise BackendError(f"{what} is not SQL-renderable") from None
+    conn.execute(sql)
+    conn.commit()
 
 
 def _resolve_table(e: S.Expr) -> S.TableRef:

@@ -34,23 +34,16 @@ def gc_state():
 
 
 def _spy_runs(monkeypatch, fail_at=None):
-    """Record gc.isenabled() at each top-level PlanExecutor.run call; the
-    call numbered `fail_at` raises instead of running."""
+    """Record gc.isenabled() at each PlanExecutor.run call; the call
+    numbered `fail_at` raises instead of running."""
     real_run = PlanExecutor.run
     states: list[bool] = []
-    depth = 0
 
-    def spy(self, nq, env=None):
-        nonlocal depth
-        if depth == 0:
-            if len(states) == fail_at:
-                raise RuntimeError("injected failure")
-            states.append(gc.isenabled())
-        depth += 1
-        try:
-            return real_run(self, nq, env)
-        finally:
-            depth -= 1
+    def spy(self, nq):
+        if len(states) == fail_at:
+            raise RuntimeError("injected failure")
+        states.append(gc.isenabled())
+        return real_run(self, nq)
 
     monkeypatch.setattr(PlanExecutor, "run", spy)
     return states
