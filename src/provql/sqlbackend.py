@@ -10,7 +10,7 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import count, groupby
 from random import Random
 from typing import Callable, Optional, Union
@@ -312,31 +312,26 @@ def leaf_type(e: S.Expr, scopes: dict[str, tuple[str, S.Row]]) -> S.Type:
 
 
 def render_sql(nq: NormalQuery) -> SqlQuery:
-    """Render a flat normal query to one SELECT per union branch.
+    """Render a flat normal query to one SELECT per union branch: the
+    statements `PlanExecutor` runs for it, joined by UNION ALL.
 
     Record results flatten depth-first; static list cells flatten with
-    numbered suffixes.  Raises when a field is not flat.
+    numbered suffixes.  Raises when a field is not flat.  A union drops the
+    branches' ORDER BY, which a compound SELECT does not allow per branch.
     """
-    selects = []
-    shape0: Optional[Shape] = None
-    names0: Optional[list[str]] = None
-    for b in nq.branches:
-        r, from_ = _Renderer().bind(b.gens)
-        try:
-            cols, shape = _flatten_result(b.result, r)
-            where = [r.expr(c, True) for c in b.conds]
-        except _NotRenderable:
-            raise BackendError("non-flat field in SQL rendering") from None
-        names = shape_names(shape)
-        if shape0 is None:
-            shape0, names0 = shape, names
-        elif len(names) != len(names0 or []):
-            raise BackendError("union branches have different shapes")
-        selects.append(SqlSelect(list(zip(cols, names0 or names)), from_, where))
-    if shape0 is None:
+    levels = _compile(nq, ()).levels
+    if not levels:
         raise BackendError("cannot render an empty union")
+    if any(level.shape is None or level.holes for level in levels):
+        raise BackendError("non-flat field in SQL rendering")
+    width = len(shape_names(levels[0].shape))
+    if any(len(shape_names(level.shape)) != width for level in levels):
+        raise BackendError("union branches have different shapes")
+    selects = [level.select for level in levels]
+    if len(selects) > 1:
+        selects = [replace(s, order_by=[]) for s in selects]
     q = SqlQuery(selects)
-    q.shape = shape0  # type: ignore[attr-defined]
+    q.shape = levels[0].shape  # type: ignore[attr-defined]
     return q
 
 
@@ -420,11 +415,16 @@ class _Level:
     when it has holes to look up; ``decode(row, pos)`` reads the rest.
     """
 
-    kind: str  # "sql" (flat) or "sql-skeleton", as listed by explain
-    sql: str
+    select: SqlSelect
+    shape: Optional[Shape]  # None when the result is built in memory
     pos: int  # key columns before the decoded ones
     decode: Callable  # None for a row that fails a condition in memory
     holes: list[_Hole]  # filled before this level runs
+
+    @property
+    def kind(self) -> str:
+        """``"sql"`` (flat) or ``"sql-skeleton"``, as listed by explain."""
+        return "sql" if self.shape is not None else "sql-skeleton"
 
 
 def _compile(nq: NormalQuery, chain: tuple) -> _Hole:
@@ -460,7 +460,7 @@ def _level(b: Branch, chain: tuple) -> _Level:
         if residual:
             raise _NotRenderable()
         cols, shape = _flatten_result(b.result, r, hole)
-        kind, decode = "sql", compile_decoder(shape)[1]
+        decode = compile_decoder(shape)[1]
         select = list(zip(cols, shape_names(shape)))
     except _NotRenderable:
         # fetch every generator's row and evaluate in memory, with each
@@ -489,10 +489,10 @@ def _level(b: Branch, chain: tuple) -> _Level:
                 return _eval(b.result, env, lists)
             return None
 
-        kind = "sql-skeleton"
+        shape = None
     keys = rowids if holes else rowids[: len(rowids) - len(b.gens)]
     select = [(k, f"k{i}") for i, k in enumerate(keys)] + select
-    return _Level(kind, SqlSelect(select, from_, where, rowids).to_sql(), len(keys), decode, holes)
+    return _Level(SqlSelect(select, from_, where, rowids), shape, len(keys), decode, holes)
 
 
 def _eval(e: S.Expr, env: dict[str, V.Value], lists: dict) -> V.Value:
@@ -534,24 +534,17 @@ class PlanExecutor:
     rows of the nested query's branches, grouped by the rowids of the
     generators that enclose them; these run before the branch that holds
     the hole.  A branch whose conditions or result do not render fetches
-    its generators' rows and builds its result in memory.  Plans are
-    compiled on their first run and cached.
+    its generators' rows and builds its result in memory.
     """
 
     def __init__(self, conn, explain: Optional[list] = None):
         self.conn = conn
-        self.plans: dict = {}
         self.explain = explain
 
     def run(self, nq: NormalQuery) -> V.VList:
-        cached = self.plans.get(id(nq))
-        if cached is None or cached[0] is not nq:
-            cached = self.plans[id(nq)] = (nq, _compile(nq, ()))
-        root = cached[1]
+        root = _compile(nq, ())
         self._fill(root)
-        out = root.groups.get((), _EMPTY)
-        root.groups = {}
-        return out
+        return root.groups.get((), _EMPTY)
 
     def _fill(self, hole: _Hole) -> None:
         n = hole.key_width
@@ -559,9 +552,10 @@ class PlanExecutor:
         for level in hole.levels:
             for h in level.holes:
                 self._fill(h)
+            sql = level.select.to_sql()
             if self.explain is not None:
-                self.explain.append((level.kind, level.sql))
-            rows = self.conn.execute(level.sql).fetchall()
+                self.explain.append((level.kind, sql))
+            rows = self.conn.execute(sql).fetchall()
             pos, decode = level.pos, level.decode
             # rows come ordered by key, so each group is one run of rows;
             # union branches append to a key's items in branch order
@@ -711,12 +705,20 @@ def apply_update(conn, stmt: S.Expr, schema: dict[str, S.Row]) -> None:
     if isinstance(stmt, S.Update) and any(label == OID for label, _ in stmt.assigns):
         raise BackendError("attempt to write oid")
     try:
-        pred = r.expr(_norm_cond(rewrite_fixpoint(stmt.pred)), True)
+        cond = _norm_cond(rewrite_fixpoint(stmt.pred))
+        pred = r.expr(cond, True)
         if isinstance(stmt, S.Update):
+            # The interpreter computes every new row from the old table, but
+            # SQLite evaluates an UPDATE's SET values and WHERE row by row as
+            # it writes, so a subquery there could read rows this statement
+            # already changed.  Subqueries stay out of SET values; a WHERE
+            # with one selects its targets first, in an uncorrelated IN
+            # (whose own "t0" shadows the target's), as DELETE does itself.
             sets = ", ".join(
-                f"{qident(label)} = {r.expr(_norm_cond(rewrite_fixpoint(x)))}"
-                for label, x in stmt.assigns
+                f"{qident(label)} = {r.expr(rewrite_fixpoint(x))}" for label, x in stmt.assigns
             )
+            if any(isinstance(x, SubQuery) for x in S.walk(cond)):
+                pred = f"{qident(alias)}.rowid IN (SELECT {qident(alias)}.rowid FROM {target} WHERE {pred})"
             sql = f"UPDATE {target} SET {sets} WHERE {pred}"
         else:
             sql = f"DELETE FROM {target} WHERE {pred}"

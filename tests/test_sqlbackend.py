@@ -65,6 +65,19 @@ class TestRenderSql:
         assert "'O''Brien'" in text
         assert '"Agencies"' in text
 
+    def test_single_branch_is_the_executed_statement(self, tours_conn):
+        prepared = pipeline.prepare(suites.BOAT_TOURS_WHERE, Mode.WHERE)
+        nq = pipeline.normalized_query(prepared)
+        explain: list = []
+        pipeline.PlanExecutor(tours_conn, explain=explain).run(nq)
+        assert explain == [("sql", render_sql(nq).to_sql())]
+
+    def test_union_is_valid_sql(self, small_bench_conn):
+        prepared = pipeline.prepare(suites.LINEAGE_SUITE["QF4"]["nolineage"], Mode.PLAIN)
+        q = render_sql(pipeline.normalized_query(prepared))
+        assert "ORDER BY" not in q.to_sql()
+        assert execute(small_bench_conn, q).items
+
     def test_non_flat_field_rejected(self):
         prepared = pipeline.prepare(suites.WHERE_SUITE["Q4"]["noprov"], Mode.PLAIN)
         with pytest.raises(BackendError, match="non-flat"):
@@ -186,8 +199,15 @@ class TestUpdates:
             # the tasks of employees with exactly one task
             "delete (x <-- {t}) where (empty(for (y <-- {t})"
             " where (y.employee == x.employee && y.oid <> x.oid) [(o = y.oid)]))",
+            # the predicate reads the column the update assigns: every task of
+            # an employee without a "first" task changes, not only the first
+            "update (x <-- {t}) where (empty(for (y <-- {t})"
+            ' where (y.employee == x.employee && y.task == "first") [(o = y.oid)])) set (task = "first")',
+            # each employee's first task goes, not the second one after it
+            "delete (x <-- {t}) where (empty(for (y <-- {t})"
+            " where (y.employee == x.employee && y.oid < x.oid) [(o = y.oid)]))",
         ],
-        ids=["update", "delete"],
+        ids=["update", "delete", "update-reads-assigned", "delete-reads-deleted"],
     )
     def test_nested_predicates_match_interpreter(self, text):
         tasks = 'table "tasks" with (oid: Int, employee: String, task: String) where oid readonly'
@@ -200,6 +220,22 @@ class TestUpdates:
             sdb = read_database(conn, bench_schema_rows())
         eval_big(db, stmt, Mode.PLAIN)
         assert db.get("tasks").rows != before  # the statement changed something
+        assert sdb.get("tasks").rows == db.get("tasks").rows
+
+    def test_nested_set_value_rejected(self):
+        # SQLite would compute the value row by row while it writes, so the
+        # subquery could see rows this statement already changed
+        db, conn = self._setup()
+        stmt = parse_expr(
+            'update (x <-- table "tasks" with (oid: Int, employee: String, task: String)'
+            ' where oid readonly) where (true) set (task = if (empty(for (y <-- table "tasks"'
+            " with (oid: Int, employee: String, task: String) where oid readonly)"
+            ' where (y.employee == x.employee && y.task == "first") [(o = y.oid)]))'
+            ' { "first" } else { x.task })'
+        )
+        with pytest.raises(BackendError, match="update clause is not SQL-renderable"):
+            apply_update(conn, stmt, bench_schema_rows())
+        sdb = read_database(conn, bench_schema_rows())
         assert sdb.get("tasks").rows == db.get("tasks").rows
 
     def test_writing_oid_rejected(self):
