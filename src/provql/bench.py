@@ -127,7 +127,7 @@ def step_restriction(trials: int = 200, seed: int = 0) -> HarnessReport:
         except ProvqlError:
             report.skipped += 1
             continue
-        body = _block_body(prog)
+        body = pipeline.query_expr(prog)
         db = base_db.copy()
         rng = Random(i)
         state = MachineState(db, annotate_term(body), Mode.LINEAGE)
@@ -182,19 +182,6 @@ def _prune_units(e: S.Expr) -> S.Expr:
     return S.map_children(e, _prune_units)
 
 
-def _block_body(prog) -> S.Expr:
-    """The body of the program's main block with declarations let-folded."""
-    main = prog.main
-    lets = [(d.name, d.expr) for d in prog.decls if not isinstance(d.expr, S.DatabaseRef)]
-    while isinstance(main, S.Let):
-        lets.append((main.name, main.value))
-        main = main.body
-    body = main.body if isinstance(main, (S.Query, S.LineageBlock)) else main
-    for name, value in reversed(lets):
-        body = S.Let(name, value, body)
-    return body
-
-
 def lineage_correctness_query(
     text: str,
     db: Database,
@@ -208,7 +195,7 @@ def lineage_correctness_query(
     prepared = pipeline.prepare(text, Mode.LINEAGE)
     fast = pipeline.run_sql(conn, prepared)
     v_hat = d2a(fast)
-    body = _block_body(prepared.source)
+    body = pipeline.query_expr(prepared.source)
     checks = 0
     violations: list[str] = []
     for j, p_hat in enumerate(
@@ -487,22 +474,6 @@ class BenchReport:
         if not xs:
             return None
         return math.exp(sum(math.log(x) for x in xs) / len(xs))
-
-    def loglog_slope(self, query: str, variant: str) -> Optional[float]:
-        pts = [
-            (math.log(r.size), math.log(r.median_ms))
-            for r in self.rows
-            if r.query == query and r.variant == variant and not r.skipped and r.median_ms > 0
-        ]
-        if len(pts) < 2:
-            return None
-        n = len(pts)
-        mx = sum(x for x, _ in pts) / n
-        my = sum(y for _, y in pts) / n
-        denom = sum((x - mx) ** 2 for x, _ in pts)
-        if denom == 0:
-            return None
-        return sum((x - mx) * (y - my) for x, y in pts) / denom
 
     def to_csv(self) -> str:
         lines = ["query,variant,size,median_ms,runs,rows,skipped,translate_ms"]

@@ -79,8 +79,8 @@ def cmd_run(args) -> int:
         if key in result.outputs:
             _out(args, f"-- {key} --\n{result.outputs[key]}")
     if "explain" in result.outputs:
-        for kind, stmt in result.outputs["explain"]:
-            _out(args, f"-- plan:{kind} --\n{stmt}")
+        for stmt in result.outputs["explain"]:
+            _out(args, f"-- plan --\n{stmt}")
     if result.value is not None:
         if args.csv:
             _out(args, V.to_csv(result.value))

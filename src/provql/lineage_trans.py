@@ -185,17 +185,6 @@ def d_translate_program(prog, inline_in_lineage: bool = True):
     return out
 
 
-def d_translate(e: S.Expr, env_types: dict[str, S.Type] | None = None) -> S.Expr:
-    """Double-translate a closed(ish) expression; env_types supplies source
-    types for any free variables."""
-    from .typecheck import Mode, TypeChecker, TypeEnv
-
-    env_types = env_types or {}
-    checker = TypeChecker(Mode.LINEAGE)
-    te = checker.infer(TypeEnv(dict(env_types)), e)
-    return _Doubler({}).double(te, env_types, frozenset())
-
-
 class _Doubler:
     def __init__(self, top_fun_exprs: dict[str, S.Expr]):
         self.top_fun_exprs = top_fun_exprs

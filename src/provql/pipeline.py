@@ -68,10 +68,11 @@ def prepare(text: str, mode: Mode) -> Prepared:
 
 
 def query_expr(prog: SourceProgram) -> S.Expr:
-    """The main query block's body with all declarations folded in as lets.
+    """The main query or lineage block's body with all declarations folded
+    in as lets.
 
     The SQL engine requires the main expression to be a query block,
-    possibly under let bindings.
+    possibly under let bindings; translated programs have no lineage blocks.
     """
     main = prog.main
     lets: list[tuple[str, S.Expr]] = []
@@ -81,7 +82,7 @@ def query_expr(prog: SourceProgram) -> S.Expr:
     while isinstance(main, S.Let):
         lets.append((main.name, main.value))
         main = main.body
-    if not isinstance(main, S.Query):
+    if not isinstance(main, (S.Query, S.LineageBlock)):
         raise ProvqlError(
             "the SQL engine needs the main expression to be a query block"
         )

@@ -1,6 +1,9 @@
 """SQL backend: render normal queries to SQL, execute them, decode results,
 translate updates, and generate the benchmark database.
 
+Every normal query of a typechecked program renders: its results are
+records of base-typed columns, whole rows and conditionals included.
+
 The backend is embedded SQLite.  Emitted SQL stays within the common
 dialect subset (SELECT / UNION ALL / scalar operators / EXISTS / ORDER BY),
 plus SQLite's rowids, which key the rows of nested results; oids are
@@ -10,6 +13,7 @@ module.
 
 from __future__ import annotations
 
+import sqlite3
 from dataclasses import dataclass, field, replace
 from itertools import count, groupby
 from random import Random
@@ -18,7 +22,6 @@ from typing import Callable, Optional, Union
 from .database import Database, OID
 from .errors import BackendError
 from .normalize import Branch, NormalQuery, SubQuery, TableGen
-from .interp import delta
 from . import syntax as S
 from . import values as V
 
@@ -300,8 +303,6 @@ def leaf_type(e: S.Expr, scopes: dict[str, tuple[str, S.Row]]) -> S.Type:
         if e.op in ("+", "-", "*", "mod"):
             return S.INT
         return S.BOOL
-    if isinstance(e, S.If):
-        return leaf_type(e.then, scopes)
     if isinstance(e, S.IsEmpty):
         return S.BOOL
     raise _NotRenderable()
@@ -322,7 +323,7 @@ def render_sql(nq: NormalQuery) -> SqlQuery:
     levels = _compile(nq, ()).levels
     if not levels:
         raise BackendError("cannot render an empty union")
-    if any(level.shape is None or level.holes for level in levels):
+    if any(level.holes for level in levels):
         raise BackendError("non-flat field in SQL rendering")
     width = len(shape_names(levels[0].shape))
     if any(len(shape_names(level.shape)) != width for level in levels):
@@ -330,28 +331,35 @@ def render_sql(nq: NormalQuery) -> SqlQuery:
     selects = [level.select for level in levels]
     if len(selects) > 1:
         selects = [replace(s, order_by=[]) for s in selects]
-    q = SqlQuery(selects)
-    q.shape = levels[0].shape  # type: ignore[attr-defined]
-    return q
+    return SqlQuery(selects)
 
 
 def _flatten_result(
-    e: S.Expr, r: _Renderer, hole: Optional[Callable[[SubQuery], Shape]] = None
+    e: S.Expr, r: _Renderer, hole: Callable[[SubQuery], Shape]
 ) -> tuple[list[str], Shape]:
-    """Select-list columns and shape of a result.  A nested list becomes
-    ``hole(subquery)``, or is not renderable when ``hole`` is not given."""
+    """Select-list columns and shape of a result; a nested list becomes
+    ``hole(subquery)``.  Records flatten in label order, a generator's
+    variable to its row's columns, and a conditional to one CASE per column
+    of its branches, which must have the same shape."""
+    if isinstance(e, S.Var) and e.name in r.scopes:
+        e = S.record_lit([(l, S.Project(e, l)) for l, _ in r.scopes[e.name][1]])
     if isinstance(e, S.RecordLit):
         cols: list[str] = []
         fields = []
-        for l, x in e.fields_:
+        for l, x in sorted(e.fields_, key=lambda f: f[0]):
             c, s = _flatten_result(x, r, hole)
             cols.extend(c)
             fields.append((l, s))
         return cols, RecordShape(fields)
+    if isinstance(e, S.If):
+        cond = r.expr(e.cond, True)
+        then, shape = _flatten_result(e.then, r, hole)
+        els, els_shape = _flatten_result(e.els, r, hole)
+        if els_shape != shape:
+            raise _NotRenderable()
+        return [f"CASE WHEN {cond} THEN {a} ELSE {b} END" for a, b in zip(then, els)], shape
     if isinstance(e, SubQuery):
         if not e.query.is_static_list():
-            if hole is None:
-                raise _NotRenderable()
             return [], hole(e)
         cols = []
         cells = []
@@ -375,22 +383,6 @@ def _flatten_result(
 # Execution
 
 
-def execute(conn, q: SqlQuery) -> V.VList:
-    """Run a rendered query and decode rows back to values (multiset
-    semantics: row order is not meaningful)."""
-    shape = getattr(q, "shape", None)
-    if shape is None:
-        raise BackendError("query was rendered without a shape")
-    try:
-        rows = conn.execute(q.to_sql()).fetchall()
-    except Exception as exc:  # connection/SQL failure
-        raise BackendError(f"SQL execution failed: {exc}") from exc
-    width, decode = compile_decoder(shape)
-    if rows and len(rows[0]) != width:
-        raise BackendError("decode mismatch: column count")
-    return V.VList(tuple(decode(row, 0) for row in rows))
-
-
 _EMPTY = V.VList(())
 
 
@@ -409,22 +401,17 @@ class _Level:
     """A plan branch's one SQL statement.
 
     Its FROM list holds the generators of every enclosing branch and its
-    own, outermost first; its WHERE list their conditions that render; it
-    is ordered by their rowids.  Each row starts with the enclosing
-    generators' rowids (the group key), then its own generators' rowids
-    when it has holes to look up; ``decode(row, pos)`` reads the rest.
+    own, outermost first; its WHERE list their conditions; it is ordered by
+    their rowids.  Each row starts with the enclosing generators' rowids
+    (the group key), then its own generators' rowids when it has holes to
+    look up; ``decode(row, pos)`` reads the rest.
     """
 
     select: SqlSelect
-    shape: Optional[Shape]  # None when the result is built in memory
+    shape: Shape
     pos: int  # key columns before the decoded ones
-    decode: Callable  # None for a row that fails a condition in memory
+    decode: Callable
     holes: list[_Hole]  # filled before this level runs
-
-    @property
-    def kind(self) -> str:
-        """``"sql"`` (flat) or ``"sql-skeleton"``, as listed by explain."""
-        return "sql" if self.shape is not None else "sql-skeleton"
 
 
 def _compile(nq: NormalQuery, chain: tuple) -> _Hole:
@@ -437,19 +424,6 @@ def _level(b: Branch, chain: tuple) -> _Level:
     r = _Renderer()
     from_: list[tuple[str, str]] = []
     where: list[str] = []
-    for o in inner:
-        # each branch's conditions render in its own scope, so an inner
-        # generator that shadows an outer variable does not capture the
-        # outer branch's references to it
-        r, entries = r.bind(o.gens)
-        from_.extend(entries)
-        residual = []  # an enclosing branch's are dealt with at its level
-        for c in o.conds:
-            try:
-                where.append(r.expr(c, True))
-            except _NotRenderable:
-                residual.append(c)
-    rowids = [f"{qident(alias)}.rowid" for _, alias in from_]
     holes: list[_Hole] = []
 
     def hole(sq: SubQuery) -> Shape:
@@ -457,73 +431,23 @@ def _level(b: Branch, chain: tuple) -> _Level:
         return HoleShape(holes[-1])
 
     try:
-        if residual:
-            raise _NotRenderable()
+        for o in inner:
+            # each branch's conditions render in its own scope, so an inner
+            # generator that shadows an outer variable does not capture the
+            # outer branch's references to it
+            r, entries = r.bind(o.gens)
+            from_.extend(entries)
+            where.extend(r.expr(c, True) for c in o.conds)
         cols, shape = _flatten_result(b.result, r, hole)
-        decode = compile_decoder(shape)[1]
-        select = list(zip(cols, shape_names(shape)))
     except _NotRenderable:
-        # fetch every generator's row and evaluate in memory, with each
-        # SubQuery's lists looked up by the row's own key
-        subs = {
-            id(x): _compile(x.query, inner)
-            for e in (*residual, b.result)
-            for x in S.walk(e)
-            if isinstance(x, SubQuery)
-        }
-        holes = list(subs.values())
-        gens = [g for o in inner for g in o.gens]
-        select = [
-            (f"{qident(alias)}.{qident(label)}", f"{g.var}_{label}")
-            for g, (_, alias) in zip(gens, from_)
-            for label, _ in g.row
-        ]
-        gen_rows = compile_decoder(
-            ListShape([RecordShape([(l, LeafShape(ty)) for l, ty in g.row]) for g in gens])
-        )[1]
-
-        def decode(row, pos):
-            env = dict(zip((g.var for g in gens), gen_rows(row, pos).items))
-            lists = {i: h.groups.get(row[:pos], _EMPTY) for i, h in subs.items()}
-            if all(_eval(c, env, lists) == V.TRUE for c in residual):
-                return _eval(b.result, env, lists)
-            return None
-
-        shape = None
+        # the normal forms of typechecked programs always render
+        raise BackendError("plan branch is not SQL-renderable") from None
+    rowids = [f"{qident(alias)}.rowid" for _, alias in from_]
     keys = rowids if holes else rowids[: len(rowids) - len(b.gens)]
-    select = [(k, f"k{i}") for i, k in enumerate(keys)] + select
-    return _Level(SqlSelect(select, from_, where, rowids), shape, len(keys), decode, holes)
-
-
-def _eval(e: S.Expr, env: dict[str, V.Value], lists: dict) -> V.Value:
-    """Evaluate ``e`` on one row: ``env`` binds the generators in scope,
-    ``lists`` the row's nested lists by `SubQuery` ``id``."""
-    if isinstance(e, S.Const):
-        return V.VConst(e.value)
-    if isinstance(e, S.ValueLit):
-        return e.value
-    if isinstance(e, S.Var):
-        if e.name not in env:
-            raise BackendError(f"unbound variable {e.name!r} in plan")
-        return env[e.name]
-    if isinstance(e, S.Project):
-        v = _eval(e.expr, env, lists)
-        if not isinstance(v, V.VRecord):
-            raise BackendError("projection from non-record in plan")
-        return v.get(e.label)
-    if isinstance(e, S.RecordLit):
-        return V.vrecord([(l, _eval(x, env, lists)) for l, x in e.fields_])
-    if isinstance(e, S.Prim):
-        return delta(e.op, [_eval(a, env, lists) for a in e.args])
-    if isinstance(e, S.If):
-        cond = _eval(e.cond, env, lists) == V.TRUE
-        return _eval(e.then if cond else e.els, env, lists)
-    if isinstance(e, SubQuery):
-        return lists[id(e)]
-    if isinstance(e, S.IsEmpty):
-        coll = _eval(e.coll, env, lists)
-        return V.VConst(len(coll.items) == 0)  # type: ignore[union-attr]
-    raise BackendError(f"cannot evaluate {type(e).__name__} in plan")
+    select = [(k, f"k{i}") for i, k in enumerate(keys)] + list(zip(cols, shape_names(shape)))
+    return _Level(
+        SqlSelect(select, from_, where, rowids), shape, len(keys), compile_decoder(shape)[1], holes
+    )
 
 
 class PlanExecutor:
@@ -533,8 +457,8 @@ class PlanExecutor:
     A nested list in a result is a hole in the decoder, filled from the
     rows of the nested query's branches, grouped by the rowids of the
     generators that enclose them; these run before the branch that holds
-    the hole.  A branch whose conditions or result do not render fetches
-    its generators' rows and builds its result in memory.
+    the hole.  ``explain``, when given, collects the statements' texts in
+    the order they run.
     """
 
     def __init__(self, conn, explain: Optional[list] = None):
@@ -554,14 +478,16 @@ class PlanExecutor:
                 self._fill(h)
             sql = level.select.to_sql()
             if self.explain is not None:
-                self.explain.append((level.kind, sql))
-            rows = self.conn.execute(sql).fetchall()
+                self.explain.append(sql)
+            try:
+                rows = self.conn.execute(sql).fetchall()
+            except sqlite3.Error as exc:
+                raise BackendError(f"SQL execution failed: {exc}") from exc
             pos, decode = level.pos, level.decode
             # rows come ordered by key, so each group is one run of rows;
             # union branches append to a key's items in branch order
             for key, run in groupby(rows, lambda row: row[:n]):
-                items = groups.setdefault(key, [])
-                items.extend(x for row in run if (x := decode(row, pos)) is not None)
+                groups.setdefault(key, []).extend(decode(row, pos) for row in run)
             for h in level.holes:
                 h.groups = {}
         hole.groups = {key: V.VList(tuple(items)) for key, items in groups.items()}

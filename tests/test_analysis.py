@@ -3,7 +3,7 @@
 import pytest
 from random import Random
 
-from provql import analysis
+from provql import analysis, pipeline
 from provql import syntax as S
 from provql import values as V
 from provql.database import Database
@@ -119,9 +119,7 @@ class TestRestrict:
         db = suites.tours_db()
         for i in range(20):
             prog = gen.program()
-            from provql import bench
-
-            body = bench._block_body(prog)
+            body = pipeline.query_expr(prog)
             _, v = eval_big(db.copy(), body, Mode.LINEAGE)
             colors = sorted(analysis.collect(v), key=V.color_sort_key)
             small = frozenset(rng.sample(colors, rng.randint(0, len(colors))))

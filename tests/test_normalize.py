@@ -142,9 +142,7 @@ class TestSoundness:
         for i in range(25):
             prog = ProgGen(80_000 + i, Mode.PLAIN, max_depth=4).program()
             typecheck_program(prog, Mode.PLAIN)
-            from provql import bench
-
-            body = bench._block_body(prog)
+            body = pipeline.query_expr(prog)
             _, expect = eval_big(tours_db.copy(), body, Mode.PLAIN)
             expect = V.canonical_order(expect)
             e = body

@@ -50,8 +50,8 @@ class TestPipeline:
     def test_explain_lists_plan(self, tours_db):
         cfg = pipeline.RunConfig(mode=Mode.PLAIN, engine="sql", explain=True)
         result = pipeline.run(suites.BOAT_TOURS, cfg, db=tours_db)
-        kinds = [k for k, _ in result.outputs["explain"]]
-        assert "sql" in kinds or "sql-skeleton" in kinds
+        statements = result.outputs["explain"]
+        assert statements and all(sql.startswith("SELECT ") for sql in statements)
 
 
 class TestCli:
@@ -65,6 +65,12 @@ class TestCli:
         assert main(["run", path, "--engine", "both"]) == 0
         out = capsys.readouterr().out
         assert "EdinTours" in out
+
+    def test_explain_prints_each_statement(self, tmp_path, capsys):
+        path = self._write(tmp_path, suites.BOAT_TOURS)
+        assert main(["run", path, "--engine", "sql", "--explain"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("-- plan --\nSELECT ") == 1
 
     def test_typecheck_error_exit(self, tmp_path, capsys):
         path = self._write(tmp_path, suites.TOURS_DECLS + "query { agencies.phone }")

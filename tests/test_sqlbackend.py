@@ -16,7 +16,6 @@ from provql.progen import ProgGen
 from provql.sqlbackend import (
     apply_update,
     bench_schema_rows,
-    execute,
     generate_benchmark_data,
     load_database,
     read_database,
@@ -70,13 +69,13 @@ class TestRenderSql:
         nq = pipeline.normalized_query(prepared)
         explain: list = []
         pipeline.PlanExecutor(tours_conn, explain=explain).run(nq)
-        assert explain == [("sql", render_sql(nq).to_sql())]
+        assert explain == [render_sql(nq).to_sql()]
 
     def test_union_is_valid_sql(self, small_bench_conn):
         prepared = pipeline.prepare(suites.LINEAGE_SUITE["QF4"]["nolineage"], Mode.PLAIN)
         q = render_sql(pipeline.normalized_query(prepared))
         assert "ORDER BY" not in q.to_sql()
-        assert execute(small_bench_conn, q).items
+        assert small_bench_conn.execute(q.to_sql()).fetchall()
 
     def test_non_flat_field_rejected(self):
         prepared = pipeline.prepare(suites.WHERE_SUITE["Q4"]["noprov"], Mode.PLAIN)
@@ -87,8 +86,7 @@ class TestRenderSql:
 class TestExecute:
     def test_boat_tours_decodes(self, tours_db, tours_conn):
         prepared = pipeline.prepare(suites.BOAT_TOURS, Mode.PLAIN)
-        q = render_sql(pipeline.normalized_query(prepared))
-        out = execute(tours_conn, q)
+        out = pipeline.PlanExecutor(tours_conn).run(pipeline.normalized_query(prepared))
         assert len(out.items) == 3
         names = sorted(r.get("name").value for r in out.items)
         assert names == ["Burns's", "EdinTours", "EdinTours"]
@@ -96,13 +94,12 @@ class TestExecute:
     def test_empty_table_gives_empty_list(self, tours_conn):
         tours_conn.execute('DELETE FROM "Agencies"')
         prepared = pipeline.prepare(suites.BOAT_TOURS, Mode.PLAIN)
-        q = render_sql(pipeline.normalized_query(prepared))
-        assert execute(tours_conn, q) == V.VList(())
+        nq = pipeline.normalized_query(prepared)
+        assert pipeline.PlanExecutor(tours_conn).run(nq) == V.VList(())
 
     def test_where_prov_triples_decode(self, tours_conn):
         prepared = pipeline.prepare(suites.BOAT_TOURS_WHERE, Mode.WHERE)
-        q = render_sql(pipeline.normalized_query(prepared))
-        out = execute(tours_conn, q)
+        out = pipeline.PlanExecutor(tours_conn).run(pipeline.normalized_query(prepared))
         triples = sorted(
             (r.get("p_phone").get("1").value, r.get("p_phone").get("2").value,
              r.get("p_phone").get("3").value)
@@ -120,9 +117,18 @@ class TestExecute:
             + 'query { for (c <-- contacts) [(n = c.name, b = c."client")] }',
             Mode.PLAIN,
         )
-        q = render_sql(pipeline.normalized_query(prepared))
-        out = execute(small_bench_conn, q)
+        out = pipeline.PlanExecutor(small_bench_conn).run(pipeline.normalized_query(prepared))
         assert all(isinstance(r.get("b").value, bool) for r in out.items)
+
+
+    def test_sqlite_failure_is_typed(self):
+        prepared = pipeline.prepare(suites.WHERE_SUITE["Q4"]["noprov"], Mode.PLAIN)
+        nq = pipeline.normalized_query(prepared)
+        with closing(sqlite3.connect(":memory:")) as conn:
+            load_database(conn, generate_benchmark_data(1, seed=3, employees_per_dept=4))
+            conn.execute('DROP TABLE "employees"')
+            with pytest.raises(BackendError, match="SQL execution failed"):
+                pipeline.PlanExecutor(conn).run(nq)
 
 
 class TestUpdates:
@@ -350,7 +356,7 @@ class TestPlanExecutor:
                 load_database(conn, generate_benchmark_data(departments, seed=7, employees_per_dept=6))
                 explain: list = []
                 pipeline.PlanExecutor(conn, explain=explain).run(nq)
-            assert len({sql for _, sql in explain}) == len(explain)
+            assert len(set(explain)) == len(explain)
             counts.append(len(explain))
         # every branch, nested ones included, runs once, whatever the data size
         assert counts[0] == counts[1] <= _count_branches(nq)
@@ -372,6 +378,20 @@ class TestPlanExecutor:
     @pytest.mark.parametrize(
         "body",
         [
+            "for (e <-- employees) where (e.salary > 50000) [e]",
+            "for (c <-- contacts) [(cc = c, xs = for (e <-- employees) where (e.dept == c.dept) [e.name])]",
+        ],
+    )
+    def test_lineage_whole_rows_keep_interpreter_order(self, body, small_bench_db, small_bench_conn):
+        prepared = pipeline.prepare(suites.BENCH_DECLS_PLAIN + f"lineage {{ {body} }}", Mode.LINEAGE)
+        vs = pipeline.run_sql(small_bench_conn, prepared)
+        vi = pipeline.run_interp(small_bench_db, prepared)
+        assert _in_order(vs, Mode.LINEAGE) == _in_order(vi, Mode.LINEAGE)
+        assert vs.items
+
+    @pytest.mark.parametrize(
+        "body",
+        [
             # an outer branch with no generators
             "[(xs = for (e <-- employees) [e.name])]",
             # a nested list inside a static list cell
@@ -388,11 +408,19 @@ class TestPlanExecutor:
             "[1, 2] ++ for (e <-- employees) where (e.salary > 60000) [e.salary]",
             # queries with no branches, tested for emptiness and nested
             "for (e <-- employees) where (empty(none())) [(n = e.name, b = empty(none()), xs = none())]",
-            # whole rows are built in memory, at the outer and at the middle level
+            # whole rows flatten to their columns, at the outer and the middle level
             "for (c <-- contacts)"
             " [(cc = c, xs = for (e <-- employees) where (e.dept == c.dept) [e.name])]",
             "for (c <-- contacts) [(n = c.name, xs = for (e <-- employees) where (e.dept == c.dept)"
             " [(e = e.name, cc = c, ts = for (t <-- tasks) where (t.employee == e.name) [t.task])])]",
+            "for (e <-- employees) [e]",
+            # a conditional over whole rows becomes one CASE per column
+            "for (e <-- employees) for (f <-- employees) where (e.dept == f.dept && e.oid < 5)"
+            " [if (e.salary > 50000) {e} else {f}]",
+            # a record literal in another label order lines up with the row
+            "for (e <-- employees)"
+            ' [if (e.salary > 50000) {e} else {(salary = 1, oid = 0, name = "n", dept = "d")}]',
+            "for (c <-- contacts) [(xs = [c, c])]",
         ],
     )
     def test_shredded_results_keep_interpreter_order(self, body, small_bench_db, small_bench_conn):
@@ -402,10 +430,9 @@ class TestPlanExecutor:
         assert vs == pipeline.run_interp(small_bench_db, prepared)
         assert vs.items
 
-    def test_condition_evaluated_in_memory(self, small_bench_db, small_bench_conn):
-        # a whole-row comparison does not render (programs cannot express
-        # it: the typechecker rejects it); in a hand-built plan it takes the
-        # in-memory path, whose nested list still has its own statement
+    def test_whole_row_condition_rejected(self, small_bench_db, small_bench_conn):
+        # a whole-row comparison does not render; programs cannot express it
+        # (the typechecker rejects it), so only a hand-built plan has one
         rows = bench_schema_rows()
         c, e = S.Var("c"), S.Var("e")
         inner = NormalQuery(
@@ -422,13 +449,10 @@ class TestPlanExecutor:
         row = small_bench_db.get("contacts").rows[-1]
         whole = S.ValueLit(V.vrecord([(l, V.VConst(x)) for l, x in row.items()]))
         by_row = NormalQuery([Branch(gens, [S.Prim("==", (c, whole))], result)])
-        by_oid = NormalQuery([Branch(gens, [S.Prim("==", (S.Project(c, "oid"), S.Const(row["oid"])))], result)])
         explain: list = []
-        ex = pipeline.PlanExecutor(small_bench_conn, explain=explain)
-        out = ex.run(by_row)
-        assert out == ex.run(by_oid)
-        assert [k for k, _ in explain] == ["sql", "sql-skeleton", "sql", "sql"]
-        assert len(out.items) == 1 and out.items[0].get("xs").items
+        with pytest.raises(BackendError, match="not SQL-renderable"):
+            pipeline.PlanExecutor(small_bench_conn, explain=explain).run(by_row)
+        assert explain == []
 
     @pytest.mark.parametrize("cond", ["d.name == c.dept", 'd.name == c.dept && c."client"'])
     def test_emptiness_of_nested_result(self, cond):
@@ -464,21 +488,21 @@ class TestPlanExecutor:
         explain = self._nested(
             'where (e.dept == c.dept) [(e = e.name, cl = c."client")]', small_bench_db, small_bench_conn
         )
-        # both branches are flat statements; the inner one joins the outer table
-        assert [k for k, _ in explain] == ["sql", "sql"]
+        # one statement per branch; the inner one joins the outer table
+        assert len(explain) == 2
 
     def test_outer_bool_column_in_inner_where(self, small_bench_db, small_bench_conn):
         explain = self._nested(
             'where (e.dept == c.dept && c."client") [(e = e.name)]', small_bench_db, small_bench_conn
         )
-        assert [k for k, _ in explain] == ["sql", "sql"]
+        assert len(explain) == 2
 
     def test_outer_whole_row_in_inner_result(self, small_bench_db, small_bench_conn):
         explain = self._nested(
             "where (e.dept == c.dept) [(e = e.name, cc = c)]", small_bench_db, small_bench_conn
         )
-        # the row cannot be a placeholder: the result is built in memory
-        assert "sql-skeleton" in {k for k, _ in explain}
+        # the row flattens to the outer table's columns in the inner statement
+        assert len(explain) == 2 and all(sql.startswith("SELECT ") for sql in explain)
 
 
 VARIANT_MODES_WHERE = {"allprov": Mode.WHERE, "someprov": Mode.WHERE, "noprov": Mode.PLAIN}
