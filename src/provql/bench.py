@@ -12,14 +12,13 @@ import sqlite3
 import time
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Optional
+from typing import Optional
 
 from . import analysis, pipeline, suites
 from .database import Database
 from .errors import ProvqlError
 from .interp import MachineState, Done, d2a, eval_big, step_info
 from .lineage_trans import doubled_type, lineage_type
-from .normalize import normalize
 from .progen import ProgGen
 from .sqlbackend import (
     PlanExecutor,
@@ -69,7 +68,7 @@ class HarnessReport:
         )
 
 
-def cso_monotonicity(trials: int = 1000, seed: int = 0, progress: Optional[Callable] = None) -> HarnessReport:
+def cso_monotonicity(trials: int = 1000, seed: int = 0) -> HarnessReport:
     """Evaluation in where mode never invents annotated values: for every
     step, the colored subobjects only shrink."""
     report = HarnessReport("cso-monotonicity")
@@ -102,8 +101,6 @@ def cso_monotonicity(trials: int = 1000, seed: int = 0, progress: Optional[Calla
             before = after
             steps += 1
         report.trials += 1
-        if progress:
-            progress(i)
     return report
 
 
@@ -210,16 +207,13 @@ def lineage_correctness_query(
     return checks, violations
 
 
-def lineage_correctness(
-    sizes=(4, 8, 16), seed: int = 0, samples: int = 64, queries=None
-) -> HarnessReport:
+def lineage_correctness(sizes=(4, 8, 16), seed: int = 0, samples: int = 64) -> HarnessReport:
     report = HarnessReport("lineage-correctness")
-    names = queries or sorted(suites.LINEAGE_SUITE)
     for size in sizes:
         db = generate_benchmark_data(size, seed)
         conn = sqlite3.connect(":memory:")
         load_database(conn, db)
-        for name in names:
+        for name in sorted(suites.LINEAGE_SUITE):
             text = suites.LINEAGE_SUITE[name]["lineage"]
             checks, violations = lineage_correctness_query(
                 text, db, conn, seed=seed + size, samples=samples
@@ -549,9 +543,6 @@ def bench_suite(
     reps: int = 5,
     seed: int = 0,
     budget_s: float = 120.0,
-    emp_mean: int = 100,
-    queries: Optional[list[str]] = None,
-    progress: Optional[Callable] = None,
 ) -> BenchReport:
     """Run a benchmark suite across database sizes and report medians.
 
@@ -571,10 +562,10 @@ def bench_suite(
     variants = variants or default_variants
     report = BenchReport()
     for size in sizes:
-        db = generate_benchmark_data(size, seed, emp_mean)
+        db = generate_benchmark_data(size, seed)
         conn = sqlite3.connect(":memory:")
         load_database(conn, db)
-        for qname in sorted(queries or table):
+        for qname in sorted(table):
             cap = suites.SIZE_CAPS.get(qname)
             if cap is not None and size > cap:
                 for variant in variants:
@@ -586,7 +577,7 @@ def bench_suite(
                 text = table[qname][variant]
                 t0 = time.perf_counter()
                 prepared = pipeline.prepare(text, modes[variant])
-                plans[variant] = normalize(pipeline.query_expr(prepared.translated))
+                plans[variant] = pipeline.normalized_query(prepared)
                 translate_ms[variant] = (time.perf_counter() - t0) * 1000.0
             times, nrows = _time_variants(conn, plans, reps, budget_s)
             for variant in variants:
@@ -604,7 +595,5 @@ def bench_suite(
                         times[variant],
                     )
                 )
-                if progress:
-                    progress(qname, variant, size)
         conn.close()
     return report

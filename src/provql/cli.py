@@ -22,7 +22,7 @@ from .sqlbackend import (
     generate_benchmark_data,
     load_database,
     read_database,
-    render_sql,
+    plan_sql,
     schema_ddl,
 )
 from .typecheck import Mode
@@ -126,7 +126,7 @@ def cmd_sql(args) -> int:
     text = _read_program(args.program)
     prepared = pipeline.prepare(text, Mode(args.mode))
     nq = pipeline.normalized_query(prepared)
-    _out(args, render_sql(nq).to_sql())
+    _out(args, plan_sql(nq))
     return 0
 
 

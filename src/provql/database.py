@@ -97,11 +97,11 @@ class Database:
         td = self.get(name)
         return V.VList(tuple(row_value(r) for r in td.visible_rows()))
 
-    def rows_annotated_where(self, name: str, spec: S.ProvSpec, eval_fn=None) -> V.VList:
+    def rows_annotated_where(self, name: str, spec: S.ProvSpec, eval_fn) -> V.VList:
         """Rows with where-provenance cells per the table's prov spec.
 
         ``eval_fn(fn_expr, row_value) -> VRecord triple`` evaluates a
-        user-supplied provenance function; only needed when the spec has one.
+        user-supplied provenance function.
         """
         td = self.get(name)
         out = []
@@ -116,8 +116,6 @@ class Database:
                     color = V.WhereColor(name, label, r[OID])
                     fields.append((label, V.VAnnot(base, color)))
                 else:
-                    if eval_fn is None:
-                        raise EvalError("user provenance function needs an evaluator")
                     t = eval_fn(entry.fn, row_value(r))
                     color = V.WhereColor(
                         _as_str(t.get("1")), _as_str(t.get("2")), _as_int(t.get("3"))

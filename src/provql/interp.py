@@ -436,12 +436,11 @@ def delta(op: str, args: list[V.Value], span=None) -> V.Value:
             return V.VConst(a < b)
         if op == ">":
             return V.VConst(a > b)
-        if op == "+":
-            return V.VConst(a + b)
-        if op == "-":
-            return V.VConst(a - b)
-        if op == "*":
-            return V.VConst(a * b)
+        if op in ("+", "-", "*"):
+            n = a + b if op == "+" else a - b if op == "-" else a * b
+            if not S.INT_MIN <= n <= S.INT_MAX:
+                raise EvalError(f"{op} overflows a 64-bit Int", span)
+            return V.VConst(n)
         if b == 0:
             raise EvalError("division by zero", span)
         # Truncated (SQL-style) remainder.

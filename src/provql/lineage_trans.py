@@ -155,7 +155,7 @@ def l_star(e: S.Expr, var_types: dict[str, S.Type]) -> S.Expr:
 # Outer translation (driven by the typed tree)
 
 
-def d_translate_program(prog, inline_in_lineage: bool = True):
+def d_translate_program(prog):
     """Double-translate a whole program.
 
     Lineage blocks become plain query blocks via the closing translation;
@@ -166,7 +166,7 @@ def d_translate_program(prog, inline_in_lineage: bool = True):
     from .typecheck import Mode, typecheck_program
 
     checked = typecheck_program(prog, Mode.LINEAGE)
-    tr = _Doubler(checked.top_fun_exprs if inline_in_lineage else {})
+    tr = _Doubler(checked.top_fun_exprs)
     out = SourceProgram()
     env_types: dict[str, S.Type] = {}
     for d in prog.decls:

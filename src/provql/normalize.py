@@ -210,9 +210,9 @@ def _term_size(e: S.Expr) -> int:
 # Reading the normal form
 
 
-def normalize(e: S.Expr, max_steps: Optional[int] = None) -> NormalQuery:
+def normalize(e: S.Expr) -> NormalQuery:
     """Rewrite a query body to a fixpoint and read off its branch structure."""
-    return _read_query(rewrite_fixpoint(e, max_steps))
+    return _read_query(rewrite_fixpoint(e))
 
 
 def _read_query(e: S.Expr) -> NormalQuery:

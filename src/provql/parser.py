@@ -366,13 +366,13 @@ class Parser:
     def parse_atom(self) -> S.Expr:
         t = self.peek()
         span = t.span
-        if t.kind == "num":
-            self.next()
-            return S.Const(int(t.text), span=span)
-        if t.kind == "sym" and t.text == "-" and self.peek(1).kind == "num":
-            self.next()
-            num = self.next()
-            return S.Const(-int(num.text), span=span)
+        if t.kind == "num" or (t.kind == "sym" and t.text == "-" and self.peek(1).kind == "num"):
+            if t.text == "-":
+                self.next()
+            n = int(self.next().text) * (-1 if t.text == "-" else 1)
+            if not S.INT_MIN <= n <= S.INT_MAX:
+                raise ParseError("Int literal out of the 64-bit range", span)
+            return S.Const(n, span=span)
         if t.kind == "str":
             self.next()
             return S.Const(t.text, span=span)
@@ -760,16 +760,26 @@ class Parser:
 
 def parse_program(text: str, debug: bool = False) -> SourceProgram:
     """Parse a whole source program (declarations plus main expression)."""
-    return Parser(text, debug).parse_program()
+    p = Parser(text, debug)
+    return _nesting_checked(p, p.parse_program)
 
 
 def parse_expr(text: str, debug: bool = False) -> S.Expr:
     p = Parser(text, debug)
-    e = p.parse_expr()
+    e = _nesting_checked(p, p.parse_expr)
     t = p.peek()
     if t.kind != "eof":
         raise ParseError(f"unexpected {t.text!r} after expression", t.span)
     return e
+
+
+def _nesting_checked(p: Parser, parse):
+    """``parse()``, with a recursive descent too deep for Python's stack
+    reported as a parse error at the token it reached."""
+    try:
+        return parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", p.peek().span) from None
 
 
 def parse_type(text: str) -> S.Type:

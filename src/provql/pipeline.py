@@ -15,7 +15,7 @@ from .interp import eval_big
 from .lineage_trans import d_translate_program
 from .normalize import NormalQuery, normalize
 from .parser import SourceProgram, parse_program, pretty_print_program
-from .sqlbackend import PlanExecutor, load_database
+from .sqlbackend import PlanExecutor, load_database, plan_sql
 from .typecheck import Mode, typecheck_program
 from .where_trans import w_translate_program
 from . import syntax as S
@@ -27,12 +27,10 @@ class RunConfig:
     mode: Mode = Mode.PLAIN
     engine: str = "interpret"  # interpret | sql | both
     repetitions: int = 1
-    seed: int = 0
     emit_translated: bool = False
     emit_normal: bool = False
     emit_sql: bool = False
     explain: bool = False
-    trace: bool = False
 
     def __post_init__(self):
         if self.engine not in ("interpret", "sql", "both"):
@@ -45,9 +43,7 @@ class RunConfig:
 class Prepared:
     source: SourceProgram
     mode: Mode
-    source_type: S.Type
     translated: SourceProgram  # equals source in plain mode
-    translated_type: Optional[S.Type] = None
 
 
 def prepare(text: str, mode: Mode) -> Prepared:
@@ -62,9 +58,8 @@ def prepare(text: str, mode: Mode) -> Prepared:
         translated = d_translate_program(prog)
     else:
         translated = prog
-    tchecked = typecheck_program(translated, Mode.PLAIN)
-    tty = tchecked.main.ty if tchecked.main else None
-    return Prepared(prog, mode, checked.main.ty, translated, tty)
+    typecheck_program(translated, Mode.PLAIN)  # the translation must typecheck
+    return Prepared(prog, mode, translated)
 
 
 def query_expr(prog: SourceProgram) -> S.Expr:
@@ -187,9 +182,7 @@ def run(
 
             result.outputs["normal"] = pretty_print(render_back(nq))
         if cfg.emit_sql:
-            from .sqlbackend import render_sql
-
-            result.outputs["sql"] = render_sql(nq).to_sql()
+            result.outputs["sql"] = plan_sql(nq)
     own_conn = False
     if cfg.engine in ("sql", "both") and conn is None:
         if db is None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import count, groupby
 from random import Random
 from typing import Callable, Optional, Union
@@ -112,79 +113,58 @@ def shape_names(shape: Shape, prefix: str = "") -> list[str]:
     return out
 
 
-def compile_decoder(shape: Shape):
-    """A closure decoding one result row; column positions, label order, and
-    boolean coercions are resolved once instead of per row."""
-    VConst, VRecord, VList = V.VConst, V.VRecord, V.VList
-    if isinstance(shape, LeafShape):
-        # Interning pays off for constant select-list columns (provenance
-        # table/column strings) and low-cardinality data columns.
-        cache: dict = {}
-        if shape.ty == S.BOOL:
-            cache = {0: V.VConst(False), 1: V.VConst(True)}
-            return 1, lambda row, pos: cache[1 if row[pos] else 0]
+class _Column(dict):
+    """The values of one result column, interned: a value seen before costs
+    one lookup, and a new one must have the column's type.  SQLite yields
+    NULL for a zero divisor and REAL for a 64-bit overflow, even in an
+    ``Int`` or ``Bool`` column."""
 
-        def leaf(row, pos, cache=cache):
-            x = row[pos]
-            v = cache.get(x)
-            if v is None:
-                v = cache[x] = VConst(x)
-            return v
+    def __init__(self, ty: S.Type, name: str):
+        super().__init__({0: V.FALSE, 1: V.TRUE} if ty == S.BOOL else {})
+        self.ty, self.name = ty, name
+        self.py_type = {S.INT: int, S.STRING: str}.get(ty)  # None for Bool
 
-        return 1, leaf
-    if isinstance(shape, HoleShape):
-        # the row's own key is its leading columns: the rowids of every
-        # generator in scope
-        hole, n = shape.hole, shape.hole.key_width
-        return 0, lambda row, pos: hole.groups.get(row[:n], _EMPTY)
-    if isinstance(shape, RecordShape):
-        subs = []
-        offset = 0
-        for label, s in shape.fields:
-            width, fn = compile_decoder(s)
-            subs.append((label, offset, fn))
-            offset += width
-        subs.sort(key=lambda x: x[0])  # canonical label order
-        # unrolled fast paths for the common small arities
-        if len(subs) == 1:
-            l1, o1, f1 = subs[0]
-            return offset, lambda row, pos: VRecord(((l1, f1(row, pos + o1)),))
-        if len(subs) == 2:
-            (l1, o1, f1), (l2, o2, f2) = subs
-            return offset, lambda row, pos: VRecord(
-                ((l1, f1(row, pos + o1)), (l2, f2(row, pos + o2)))
+    def __missing__(self, x):
+        if type(x) is not self.py_type:
+            raise BackendError(
+                f"{self.ty} column {self.name!r} yielded {x!r}"
+                " (a zero divisor or a 64-bit overflow in SQL)"
             )
-        if len(subs) == 3:
-            (l1, o1, f1), (l2, o2, f2), (l3, o3, f3) = subs
-            return offset, lambda row, pos: VRecord(
-                (
-                    (l1, f1(row, pos + o1)),
-                    (l2, f2(row, pos + o2)),
-                    (l3, f3(row, pos + o3)),
-                )
-            )
+        v = self[x] = V.VConst(x)
+        return v
 
-        def rec(row, pos, subs=tuple(subs)):
-            return VRecord(tuple((l, fn(row, pos + off)) for l, off, fn in subs))
 
-        return offset, rec
-    subs2 = []
-    offset = 0
-    for s in shape.cells:
-        width, fn = compile_decoder(s)
-        subs2.append((offset, fn))
-        offset += width
-    if len(subs2) == 1:
-        o1, f1 = subs2[0]
-        return offset, lambda row, pos: VList((f1(row, pos + o1),))
-    if len(subs2) == 2:
-        (o1, f1), (o2, f2) = subs2
-        return offset, lambda row, pos: VList((f1(row, pos + o1), f2(row, pos + o2)))
+def compile_decoder(shape: Shape, start: int) -> Callable:
+    """One generated function decoding a result row whose decoded columns
+    start at ``start``, e.g. ``lambda row: R((("n", c2[row[2]]), ("xs",
+    h4.groups.get(row[:2], EMPTY))))``.  Only labels, through ``repr``, and
+    integers enter its source, so plans with the same shapes share its
+    compiled code."""
+    env: dict = {"R": V.VRecord, "L": V.VList, "EMPTY": V.VList(())}
+    names = iter(shape_names(shape))
+    cols = count(start)
 
-    def lst(row, pos, subs=tuple(subs2)):
-        return VList(tuple(fn(row, pos + off) for off, fn in subs))
+    def src(s: Shape) -> str:
+        if isinstance(s, LeafShape):
+            i = next(cols)
+            env[f"c{i}"] = _Column(s.ty, next(names))
+            return f"c{i}[row[{i}]]"
+        if isinstance(s, HoleShape):
+            # the row's own key is its leading columns: the rowids of every
+            # generator in scope
+            h = f"h{len(env)}"
+            env[h] = s.hole
+            return f"{h}.groups.get(row[:{s.hole.key_width}], EMPTY)"
+        if isinstance(s, RecordShape):
+            return "R((" + "".join(f"({l!r}, {src(x)}), " for l, x in s.fields) + "))"
+        return "L((" + "".join(f"{src(x)}, " for x in s.cells) + "))"
 
-    return offset, lst
+    return eval(_compiled(f"lambda row: {src(shape)}"), env)
+
+
+@lru_cache(maxsize=1024)
+def _compiled(source: str):
+    return compile(source, "<decoder>", "eval")
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +314,12 @@ def render_sql(nq: NormalQuery) -> SqlQuery:
     return SqlQuery(selects)
 
 
+def plan_sql(nq: NormalQuery) -> str:
+    """The statements `PlanExecutor` runs for ``nq``, in the order it runs
+    them, separated by ``;`` and a newline; nothing is run."""
+    return ";\n".join(level.select.to_sql() for _, level in _run_order(_compile(nq, ())))
+
+
 def _flatten_result(
     e: S.Expr, r: _Renderer, hole: Callable[[SubQuery], Shape]
 ) -> tuple[list[str], Shape]:
@@ -383,9 +369,6 @@ def _flatten_result(
 # Execution
 
 
-_EMPTY = V.VList(())
-
-
 @dataclass
 class _Hole:
     """The lists a (sub)query yields, one per combination of the enclosing
@@ -393,7 +376,8 @@ class _Hole:
 
     levels: list["_Level"]  # one per union branch
     key_width: int
-    groups: dict = field(default_factory=dict)  # key -> VList, during a run
+    # during a run: key -> items while its levels run, then key -> VList
+    groups: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -404,12 +388,11 @@ class _Level:
     own, outermost first; its WHERE list their conditions; it is ordered by
     their rowids.  Each row starts with the enclosing generators' rowids
     (the group key), then its own generators' rowids when it has holes to
-    look up; ``decode(row, pos)`` reads the rest.
+    look up; ``decode(row)`` reads the rest.
     """
 
     select: SqlSelect
     shape: Shape
-    pos: int  # key columns before the decoded ones
     decode: Callable
     holes: list[_Hole]  # filled before this level runs
 
@@ -445,9 +428,7 @@ def _level(b: Branch, chain: tuple) -> _Level:
     rowids = [f"{qident(alias)}.rowid" for _, alias in from_]
     keys = rowids if holes else rowids[: len(rowids) - len(b.gens)]
     select = [(k, f"k{i}") for i, k in enumerate(keys)] + list(zip(cols, shape_names(shape)))
-    return _Level(
-        SqlSelect(select, from_, where, rowids), shape, len(keys), compile_decoder(shape)[1], holes
-    )
+    return _Level(SqlSelect(select, from_, where, rowids), shape, compile_decoder(shape, len(keys)), holes)
 
 
 class PlanExecutor:
@@ -467,15 +448,10 @@ class PlanExecutor:
 
     def run(self, nq: NormalQuery) -> V.VList:
         root = _compile(nq, ())
-        self._fill(root)
-        return root.groups.get((), _EMPTY)
-
-    def _fill(self, hole: _Hole) -> None:
-        n = hole.key_width
-        groups: dict = {}
-        for level in hole.levels:
+        for hole, level in _run_order(root):
+            # this level's holes have had all their levels run
             for h in level.holes:
-                self._fill(h)
+                h.groups = {key: V.VList(tuple(items)) for key, items in h.groups.items()}
             sql = level.select.to_sql()
             if self.explain is not None:
                 self.explain.append(sql)
@@ -483,14 +459,23 @@ class PlanExecutor:
                 rows = self.conn.execute(sql).fetchall()
             except sqlite3.Error as exc:
                 raise BackendError(f"SQL execution failed: {exc}") from exc
-            pos, decode = level.pos, level.decode
             # rows come ordered by key, so each group is one run of rows;
             # union branches append to a key's items in branch order
+            n, groups = hole.key_width, hole.groups
             for key, run in groupby(rows, lambda row: row[:n]):
-                groups.setdefault(key, []).extend(decode(row, pos) for row in run)
+                groups.setdefault(key, []).extend(map(level.decode, run))
             for h in level.holes:
                 h.groups = {}
-        hole.groups = {key: V.VList(tuple(items)) for key, items in groups.items()}
+        return V.VList(tuple(root.groups.get((), ())))
+
+
+def _run_order(hole: _Hole):
+    """``(hole, level)`` for every level under ``hole``, in the order
+    `PlanExecutor` runs them: a level after the levels of its holes."""
+    for level in hole.levels:
+        for h in level.holes:
+            yield from _run_order(h)
+        yield hole, level
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +492,7 @@ BENCH_INDEXES = [
 ]
 
 
-def schema_ddl(db: Database, indexes: bool = True) -> list[str]:
+def schema_ddl(db: Database) -> list[str]:
     stmts = []
     for name in sorted(db.tables):
         td = db.tables[name]
@@ -521,13 +506,12 @@ def schema_ddl(db: Database, indexes: bool = True) -> list[str]:
     stmts.append(
         'CREATE TABLE "_provql_seq" ("table_name" TEXT PRIMARY KEY, "next_oid" INTEGER NOT NULL)'
     )
-    if indexes:
-        for table, col in BENCH_INDEXES:
-            if table in db.tables:
-                stmts.append(
-                    f"CREATE INDEX {qident('idx_' + table + '_' + col)} "
-                    f"ON {qident(table)} ({qident(col)})"
-                )
+    for table, col in BENCH_INDEXES:
+        if table in db.tables:
+            stmts.append(
+                f"CREATE INDEX {qident('idx_' + table + '_' + col)} "
+                f"ON {qident(table)} ({qident(col)})"
+            )
     return stmts
 
 

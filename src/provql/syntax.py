@@ -61,6 +61,8 @@ class ProvType(Type):
 
 
 INT = BaseType("Int")
+# Int is a 64-bit signed integer, as in SQL; arithmetic leaving it is an error
+INT_MIN, INT_MAX = -(2**63), 2**63 - 1
 BOOL = BaseType("Bool")
 STRING = BaseType("String")
 

@@ -103,6 +103,29 @@ def test_syntax_error_position_and_expected():
     assert "else" in (exc.value.expected or ("else",))
 
 
+@pytest.mark.parametrize("depth", [90, 95, 2000])
+def test_deep_nesting_is_a_parse_error(depth):
+    text = "[" * depth + "1" + "]" * depth
+    with pytest.raises(ParseError, match="nested too deeply") as exc:
+        parse_expr(text)
+    assert exc.value.span is not None
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_program(f"query {{ {text} }}")
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("9223372036854775807", 2**63 - 1), ("-9223372036854775808", -(2**63)),
+     ("9223372036854775808", None), ("-9223372036854775809", None)],
+)
+def test_int_literals_are_64_bit(text, value):
+    if value is None:
+        with pytest.raises(ParseError, match="64-bit"):
+            parse_expr(text)
+    else:
+        assert parse_expr(text) == S.Const(value)
+
+
 def test_comments_and_unicode():
     prog = parse_program("# heading\nvar x = 1; # trailing\nx")
     assert prog.main == S.Var("x")

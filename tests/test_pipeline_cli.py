@@ -7,8 +7,8 @@ import pytest
 
 from provql import pipeline, suites
 from provql.cli import main
-from provql.errors import ProvqlError
-from provql.sqlbackend import load_database
+from provql.errors import BackendError, EvalError, ProvqlError
+from provql.sqlbackend import generate_benchmark_data, load_database
 from provql.typecheck import Mode
 
 
@@ -46,6 +46,25 @@ class TestPipeline:
         result = pipeline.run(suites.BOAT_TOURS_WHERE, cfg, db=tours_db)
         assert len(result.timings_ms) == reps
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("engine", ["interpret", "sql", "both"])
+    @pytest.mark.parametrize(
+        "expr,ty",
+        [
+            ("e.salary * 4611686018427387904", "Int"),
+            ("9223372036854775807 + e.salary", "Int"),
+            ("mod(e.salary, e.salary - e.salary)", "Int"),
+            ("mod(e.salary, e.salary - e.salary) == 1", "Bool"),
+        ],
+    )
+    def test_int_overflow_and_zero_divisor_raise(self, expr, ty, engine):
+        # SQLite yields REAL on overflow and NULL on a zero divisor; neither
+        # may come back as a value of an Int or Bool column
+        db = generate_benchmark_data(1, seed=3, employees_per_dept=3)
+        text = suites.BENCH_DECLS_PLAIN + f"query {{ for (e <-- employees) [(v = {expr})] }}"
+        error, match = (BackendError, f"{ty} column") if engine == "sql" else (EvalError, None)
+        with pytest.raises(error, match=match):
+            pipeline.run(text, pipeline.RunConfig(Mode.PLAIN, engine=engine), db=db)
 
     def test_explain_lists_plan(self, tours_db):
         cfg = pipeline.RunConfig(mode=Mode.PLAIN, engine="sql", explain=True)
@@ -91,6 +110,20 @@ class TestCli:
         assert main(["sql", path, "--mode", "where"]) == 0
         out = capsys.readouterr().out
         assert "'Agencies'" in out and "UNION" not in out
+
+    def test_sql_lists_the_statements_that_run(self, tmp_path, capsys):
+        text = suites.WHERE_SUITE["Q4"]["noprov"]
+        cfg = pipeline.RunConfig(Mode.PLAIN, engine="sql", explain=True, emit_sql=True)
+        result = pipeline.run(text, cfg, db=generate_benchmark_data(1, seed=3, employees_per_dept=3))
+        listing = ";\n".join(result.outputs["explain"])
+        assert len(result.outputs["explain"]) == 2 and result.outputs["sql"] == listing
+        assert main(["sql", self._write(tmp_path, text)]) == 0
+        assert capsys.readouterr().out == listing + "\n"
+
+    def test_deeply_nested_program_fails_typed(self, tmp_path, capsys):
+        path = self._write(tmp_path, "query { " + "[" * 90 + "1" + "]" * 90 + " }")
+        assert main(["run", path]) == 1
+        assert "error: expression nested too deeply" in capsys.readouterr().err
 
     def test_gen_data_and_run_from_file_db(self, tmp_path, capsys):
         dsn = str(tmp_path / "bench.db")

@@ -421,6 +421,10 @@ class TestPlanExecutor:
             "for (e <-- employees)"
             ' [if (e.salary > 50000) {e} else {(salary = 1, oid = 0, name = "n", dept = "d")}]',
             "for (c <-- contacts) [(xs = [c, c])]",
+            # Bool, Int and String leaves, computed and stored, in a record of
+            # five fields and in static list cells
+            'for (c <-- contacts) [(b = c."client", i = c.oid, s = c.dept, t = c.oid > 2,'
+            ' xs = [c."client", c.oid < 3], zs = [c.name, c.name])]',
         ],
     )
     def test_shredded_results_keep_interpreter_order(self, body, small_bench_db, small_bench_conn):
