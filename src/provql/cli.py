@@ -75,6 +75,8 @@ def cmd_run(args) -> int:
         _trace_run(text, mode, db)
         return 0
     result = pipeline.run(text, cfg, db=db, conn=conn)
+    reps = len(result.timings_ms)
+    print(f"-- execution: {reps} run(s), median {result.median_ms:.3f} ms", file=sys.stderr)
     for key in ("translated", "normal", "sql"):
         if key in result.outputs:
             _out(args, f"-- {key} --\n{result.outputs[key]}")
@@ -92,7 +94,7 @@ def cmd_run(args) -> int:
 def _trace_run(text: str, mode: Mode, db) -> None:
     from .interp import evaluate
 
-    prog = parse_program(text)
+    prepared = pipeline.prepare(text, mode)
     eval_mode = Mode.WHERE if mode is Mode.WHERE else Mode.PLAIN
 
     def trace(rule: str, redex: S.Expr) -> None:
@@ -101,8 +103,8 @@ def _trace_run(text: str, mode: Mode, db) -> None:
             shown = shown[:117] + "..."
         print(f"{rule}: {shown}")
 
-    _, v = evaluate(db.copy(), prog.as_expr(), eval_mode, trace=trace)
-    print(V.render(V.canonical_order(v)))
+    _, v = evaluate(db.copy(), prepared.source.as_expr(), eval_mode, trace=trace)
+    print(V.render(pipeline.comparable(v, mode)))
 
 
 def cmd_translate(args) -> int:

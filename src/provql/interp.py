@@ -600,7 +600,7 @@ def d2a(v: V.Value) -> V.Value:
             prov = x.get("prov")
             if not isinstance(prov, V.VList):
                 raise EvalError("malformed witness list")
-            colors = frozenset(_pair_color(p) for p in prov.items)
+            colors = frozenset(pair_color(p) for p in prov.items)
             cells.append((d2a(x.get("data")), colors))
         return V.VAnnList(tuple(cells))
     if isinstance(v, V.VRecord):
@@ -608,7 +608,8 @@ def d2a(v: V.Value) -> V.Value:
     return v
 
 
-def _pair_color(p: V.Value) -> V.LineageColor:
+def pair_color(p: V.Value) -> V.LineageColor:
+    """A witness pair (table, oid) as a lineage color."""
     if isinstance(p, V.VRecord) and len(p.fields) == 2:
         t, o = p.get("1"), p.get("2")
         if isinstance(t, V.VConst) and isinstance(o, V.VConst):

@@ -5,13 +5,15 @@ the interpreter and/or the SQL backend, and compare.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass, field
+from operator import is_not, itemgetter
 from typing import Optional
 
 from .database import Database
-from .errors import ProvqlError
-from .interp import eval_big
+from .errors import EvalError, ProvqlError
+from .interp import eval_big, pair_color
 from .lineage_trans import d_translate_program
 from .normalize import NormalQuery, normalize
 from .parser import SourceProgram, parse_program, pretty_print_program
@@ -125,15 +127,95 @@ def comparable(v: V.Value, mode: Mode) -> V.Value:
     mode: results convert back to annotated cells, so witness lists compare
     as color sets (the translation emits concatenated lists, which can
     repeat a row that witnesses an output twice; the correctness theorem is
-    stated on sets).
-    """
-    if mode is Mode.WHERE:
-        v = annotated_to_records(v)
-    if mode is Mode.LINEAGE:
-        from .interp import d2a
+    stated on sets).  Every list is sorted, deepest first.
 
-        v = d2a(v)
-    return V.canonical_order(v)
+    One bottom-up walk converts and sorts; it keys each value once and
+    rebuilds a node only when a child changed.  Keys are typed, not tagged:
+    a leaf keys as its Python value, a record as the tuple of its field
+    keys in label order, a lineage cell as its value's key and its sorted
+    color keys, and a list as the tuple of its sorted item keys.  So `v`
+    must be the result of a well-typed program, whose lists each hold one
+    type.  On such values the result equals `V.canonical_order` of
+    `annotated_to_records(v)` (where mode) or `interp.d2a(v)` (lineage
+    mode), and the walk raises the same `EvalError`s as those do.
+    """
+    return _canonical(v, mode)[0]
+
+
+def _canonical(v: V.Value, mode: Mode) -> tuple[V.Value, object]:
+    """`comparable`'s walk: the canonical form of `v` and its sort key."""
+    t = type(v)
+    if t is V.VConst:
+        return v, v.value
+    if t is V.VRecord:
+        fields = v.fields
+        keys = []
+        changed = None
+        for i, (l, x) in enumerate(fields):
+            if type(x) is V.VConst:
+                keys.append(x.value)
+                continue
+            y, k = _canonical(x, mode)
+            keys.append(k)
+            if y is not x:
+                if changed is None:
+                    changed = list(fields)
+                changed[i] = (l, y)
+        if changed is not None:
+            v = V.VRecord(tuple(changed))
+        return v, tuple(keys)
+    if t is V.VList:
+        if mode is Mode.LINEAGE:
+            return _sorted_cells(_data_prov_cells(v.items, mode))
+        walked = [_canonical(x, mode) for x in v.items]
+        walked.sort(key=itemgetter(1))
+        items = tuple([y for y, _ in walked])
+        if any(map(is_not, items, v.items)):
+            v = V.VList(items)
+        return v, tuple([k for _, k in walked])
+    if t is V.VAnnList:
+        return _sorted_cells([_cell(x, cs, mode) for x, cs in v.cells])
+    if t is V.VAnnot:
+        base, k = _canonical(v.base, mode)
+        key = (k, V.color_sort_key(v.color))
+        if mode is Mode.WHERE:
+            return V.VRecord((("!data", base), ("!prov", V.color_value(v.color)))), key
+        if base is not v.base:
+            v = V.VAnnot(base, v.color)
+        return v, key
+    if t is V.VTable:
+        return v, v.name
+    raise EvalError(f"cannot compare value of kind {t.__name__}")
+
+
+def _data_prov_cells(items, mode: Mode) -> list:
+    """Lineage cells from a list of data/prov records, read as `interp.d2a`
+    reads them."""
+    cells = []
+    for x in items:
+        if not (
+            type(x) is V.VRecord
+            and len(x.fields) == 2
+            and x.fields[0][0] == "data"
+            and x.fields[1][0] == "prov"
+        ):
+            raise EvalError("value is not in data/prov form")
+        prov = x.fields[1][1]
+        if type(prov) is not V.VList:
+            raise EvalError("malformed witness list")
+        cells.append(_cell(x.fields[0][1], frozenset(map(pair_color, prov.items)), mode))
+    return cells
+
+
+def _cell(x: V.Value, colors: frozenset, mode: Mode) -> tuple:
+    """A lineage cell and its key: (value key, sorted color keys)."""
+    y, k = _canonical(x, mode)
+    return (k, tuple(sorted(map(V.color_sort_key, colors)))), (y, colors)
+
+
+def _sorted_cells(keyed: list) -> tuple[V.VAnnList, tuple]:
+    keyed.sort(key=itemgetter(0))
+    return V.VAnnList(tuple([c for _, c in keyed])), tuple([k for k, _ in keyed])
 
 
 def annotated_to_records(v: V.Value) -> V.Value:
@@ -158,8 +240,7 @@ class RunResult:
 
     @property
     def median_ms(self) -> float:
-        xs = sorted(self.timings_ms)
-        return xs[len(xs) // 2] if xs else 0.0
+        return statistics.median(self.timings_ms) if self.timings_ms else 0.0
 
 
 def run(

@@ -297,7 +297,9 @@ def serialize(v: Value):
 def canonical_order(v: Value) -> Value:
     """Sort all lists recursively (deepest first) by the serialized order.
 
-    Only used for deterministic multiset comparison; closures are rejected.
+    The total-order reference for multiset comparison: the tests and
+    perfbench's reference outputs compare `pipeline.comparable` with it.
+    It orders values of mixed types too; closures are rejected.
     """
     if isinstance(v, VClosure):
         raise EvalError("closure encountered in canonical_order")

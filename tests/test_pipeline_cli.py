@@ -1,6 +1,7 @@
 """The run pipeline and the command-line interface."""
 
 import json
+import re
 import sqlite3
 
 import pytest
@@ -119,6 +120,33 @@ class TestCli:
         assert len(result.outputs["explain"]) == 2 and result.outputs["sql"] == listing
         assert main(["sql", self._write(tmp_path, text)]) == 0
         assert capsys.readouterr().out == listing + "\n"
+
+    def test_trace_typechecks(self, tmp_path, capsys):
+        path = self._write(tmp_path, 'query { [if (true) {1} else {"a"}] }')
+        assert main(["run", path, "--trace"]) == 1
+        captured = capsys.readouterr()
+        assert "type mismatch" in captured.err and "[1]" not in captured.out
+
+    def test_trace_prints_what_run_prints(self, tmp_path, capsys):
+        path = self._write(
+            tmp_path,
+            suites.TOURS_DECLS_PROV
+            + "query { for (a <-- agencies) where (a.name == \"Burns's\") [a.phone] }",
+        )
+        shown = '[(data = "607 3000", prov = ("Agencies", "phone", 2))]\n'
+        assert main(["run", path, "--mode", "where"]) == 0
+        assert capsys.readouterr().out == shown
+        assert main(["run", path, "--mode", "where", "--trace"]) == 0
+        assert capsys.readouterr().out.endswith("\n" + shown)
+
+    def test_reps_report_median_on_stderr(self, tmp_path, capsys):
+        path = self._write(tmp_path, suites.BOAT_TOURS)
+        assert main(["run", path]) == 0
+        once = capsys.readouterr().out
+        assert main(["run", path, "--engine", "both", "--reps", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == once
+        assert re.fullmatch(r"-- execution: 2 run\(s\), median \d+\.\d{3} ms\n", captured.err)
 
     def test_deeply_nested_program_fails_typed(self, tmp_path, capsys):
         path = self._write(tmp_path, "query { " + "[" * 90 + "1" + "]" * 90 + " }")
