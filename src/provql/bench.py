@@ -246,7 +246,7 @@ def type_preservation(trials: int = 1000, seed: int = 0) -> HarnessReport:
         genl = ProgGen(seed * 104_729 + i, Mode.LINEAGE, max_depth=4)
         progl = genl.program()
         checkedl = typecheck_program(progl, Mode.LINEAGE)
-        transl = d_translate_program(progl)
+        transl = d_translate_program(progl, checkedl)
         tl = typecheck_program(transl, Mode.PLAIN)
         report.checks += 1
         if tl.main.ty != doubled_type(checkedl.main.ty):

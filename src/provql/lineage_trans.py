@@ -155,17 +155,16 @@ def l_star(e: S.Expr, var_types: dict[str, S.Type]) -> S.Expr:
 # Outer translation (driven by the typed tree)
 
 
-def d_translate_program(prog):
-    """Double-translate a whole program.
+def d_translate_program(prog, checked):
+    """Double-translate a whole program, given ``checked``, its
+    `typecheck_program` result in lineage mode.
 
     Lineage blocks become plain query blocks via the closing translation;
     calls to nonrecursive top-level functions inside lineage blocks are
     inlined first, so helper functions work without manual rewriting.
     """
     from .parser import Declaration, SourceProgram
-    from .typecheck import Mode, typecheck_program
 
-    checked = typecheck_program(prog, Mode.LINEAGE)
     tr = _Doubler(checked.top_fun_exprs)
     out = SourceProgram()
     env_types: dict[str, S.Type] = {}

@@ -9,6 +9,11 @@ else is reported as an error.  Nested collection results become subquery
 trees whose branches also have only table generators; each branch runs as
 one SQL statement per query, whatever its nesting depth (see
 `sqlbackend.PlanExecutor`).
+
+`normalize` is the rewrite engine's one entry: queries go through it, and
+so do update and delete statements, as one-generator comprehensions (see
+`sqlbackend.apply_update`).  Its input is source syntax, which holds no
+values, so neither does a normal form.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from typing import Optional
 
 from .errors import NormalizeError
 from . import syntax as S
-from . import values as V
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,6 @@ def _rewrite_at(e: S.Expr) -> Optional[S.Expr]:
                 if l == e.label:
                     return x
             raise NormalizeError(f"projection of missing label {e.label!r}", e.span)
-        if isinstance(e.expr, S.ValueLit) and isinstance(e.expr.value, V.VRecord):
-            return S.ValueLit(e.expr.value.get(e.label))
         if isinstance(e.expr, S.If):
             i = e.expr
             return S.If(i.cond, S.Project(i.then, e.label), S.Project(i.els, e.label))
@@ -128,11 +130,6 @@ def _rewrite_at(e: S.Expr) -> Optional[S.Expr]:
         return e.body
     if isinstance(e, S.For):
         src = e.source
-        # for over a literal list value: expand to singletons
-        if isinstance(src, S.ValueLit) and isinstance(src.value, V.VList):
-            return S.For(
-                e.var, S.list_lit([S.ValueLit(x) for x in src.value.items]), e.body
-            )
         if isinstance(src, S.EmptyList):
             return S.EmptyList()
         if isinstance(src, S.Singleton):
@@ -187,13 +184,11 @@ def _rewrite_at(e: S.Expr) -> Optional[S.Expr]:
 
 
 def _list_shaped(e: S.Expr) -> bool:
-    return isinstance(e, (S.EmptyList, S.Singleton, S.Concat, S.For, S.Where)) or (
-        isinstance(e, S.ValueLit) and isinstance(e.value, (V.VList, V.VAnnList))
-    )
+    return isinstance(e, (S.EmptyList, S.Singleton, S.Concat, S.For, S.Where))
 
 
-def rewrite_fixpoint(e: S.Expr, max_steps: Optional[int] = None) -> S.Expr:
-    cap = max_steps or (_MAX_FIXED_STEPS + 50 * _term_size(e))
+def rewrite_fixpoint(e: S.Expr) -> S.Expr:
+    cap = _MAX_FIXED_STEPS + 50 * _term_size(e)
     for _ in range(cap):
         out = rewrite_step(e)
         if isinstance(out, NoRedex):
@@ -223,10 +218,6 @@ def _read_query(e: S.Expr) -> NormalQuery:
 
 def _read_branches(e: S.Expr, gens: list, conds: list, out: list[Branch]) -> None:
     if isinstance(e, S.EmptyList):
-        return
-    if isinstance(e, S.ValueLit) and isinstance(e.value, V.VList):
-        for item in e.value.items:
-            out.append(Branch(list(gens), list(conds), S.ValueLit(item)))
         return
     if isinstance(e, S.Concat):
         _read_branches(e.left, gens, conds, out)
@@ -295,7 +286,7 @@ def _norm_result(r: S.Expr) -> S.Expr:
 
 
 # ---------------------------------------------------------------------------
-# Residual-redex assertions (used by tests and the emit pipeline)
+# Residual-redex assertions (used by tests)
 
 
 def assert_no_residuals(nq: NormalQuery) -> None:

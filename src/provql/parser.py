@@ -25,7 +25,7 @@ _CONTEXTUAL = ("sig", "database", "from", "readonly", "tablekeys", "not", "mod")
 _SYMBOLS = [
     "<--", "<-", "->", "==", "<>", "&&", "||", "++", "|",
     "(", ")", "{", "}", "[", "]", ",", ";", ":", ".", "=", "<", ">",
-    "+", "-", "*", "^", "∪", "!",
+    "+", "-", "*", "!",
 ]
 
 
@@ -91,7 +91,13 @@ def tokenize(text: str) -> list[Token]:
             if j >= n:
                 raise ParseError("unterminated string literal", S.Span(line, col))
             toks.append(Token("str", "".join(out), line, col))
-            col += j + 1 - i
+            # a raw newline in the literal starts a new line
+            nl = text.rfind("\n", i, j)
+            if nl < 0:
+                col += j + 1 - i
+            else:
+                line += text.count("\n", i, j)
+                col = j + 1 - nl
             i = j + 1
             continue
         for sym in _SYMBOLS:
@@ -135,10 +141,9 @@ _STATEMENT_STARTS = {"for", "where", "var", "insert"}
 
 
 class Parser:
-    def __init__(self, text: str, debug: bool = False):
+    def __init__(self, text: str):
         self.toks = tokenize(text)
         self.pos = 0
-        self.debug = debug
         self.declared_names: set[str] = set()
         self.in_program = False
 
@@ -347,8 +352,6 @@ class Parser:
                         args.append(self.parse_expr())
                 self.eat(")")
                 e = S.App(e, tuple(args), span=span)
-            elif self.at("^") and self.debug:
-                e = self._parse_union_annot(e)
             else:
                 return e
 
@@ -641,38 +644,6 @@ class Parser:
         self.eat(")")
         return S.Delete(var, table, pred, span=span)
 
-    def _parse_union_annot(self, e: S.Expr) -> S.Expr:
-        span = self.eat("^").span
-        self.eat("{")
-        self.eat("∪")
-        self.eat("{")
-        colors = set()
-        while not self.at("}"):
-            self.eat("(")
-            parts = []
-            while not self.at(")"):
-                pt = self.peek()
-                if pt.kind == "str":
-                    parts.append(self.next().text)
-                elif pt.kind == "num":
-                    parts.append(int(self.next().text))
-                else:
-                    raise ParseError("bad color component", pt.span)
-                if self.at(","):
-                    self.next()
-            self.eat(")")
-            if len(parts) == 2:
-                colors.add(V.LineageColor(parts[0], parts[1]))
-            elif len(parts) == 3:
-                colors.add(V.WhereColor(parts[0], parts[1], parts[2]))
-            else:
-                raise ParseError("colors are pairs or triples", span)
-            if self.at(","):
-                self.next()
-        self.eat("}")
-        self.eat("}")
-        return S.UnionAnnot(e, frozenset(colors), span=span)
-
     # -- types ----------------------------------------------------------------
 
     def parse_type(self) -> S.Type:
@@ -758,14 +729,14 @@ class Parser:
         return S.make_row(items), open_
 
 
-def parse_program(text: str, debug: bool = False) -> SourceProgram:
+def parse_program(text: str) -> SourceProgram:
     """Parse a whole source program (declarations plus main expression)."""
-    p = Parser(text, debug)
+    p = Parser(text)
     return _nesting_checked(p, p.parse_program)
 
 
-def parse_expr(text: str, debug: bool = False) -> S.Expr:
-    p = Parser(text, debug)
+def parse_expr(text: str) -> S.Expr:
+    p = Parser(text)
     e = _nesting_checked(p, p.parse_expr)
     t = p.peek()
     if t.kind != "eof":

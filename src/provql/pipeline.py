@@ -57,7 +57,7 @@ def prepare(text: str, mode: Mode) -> Prepared:
     if mode is Mode.WHERE:
         translated = w_translate_program(prog)
     elif mode is Mode.LINEAGE:
-        translated = d_translate_program(prog)
+        translated = d_translate_program(prog, checked)
     else:
         translated = prog
     typecheck_program(translated, Mode.PLAIN)  # the translation must typecheck

@@ -1,8 +1,10 @@
 """SQL backend: render normal queries to SQL, execute them, decode results,
-translate updates, and generate the benchmark database.
+translate writes, and generate the benchmark database.
 
 Every normal query of a typechecked program renders: its results are
 records of base-typed columns, whole rows and conditionals included.
+Updates and deletes render from normal forms too (`apply_update`), so
+`normalize` is the only way into the rewrite engine.
 
 The backend is embedded SQLite.  Emitted SQL stays within the common
 dialect subset (SELECT / UNION ALL / scalar operators / EXISTS / ORDER BY),
@@ -20,9 +22,9 @@ from itertools import count, groupby
 from random import Random
 from typing import Callable, Optional, Union
 
-from .database import Database, OID
+from .database import Database, OID, value_row
 from .errors import BackendError
-from .normalize import Branch, NormalQuery, SubQuery, TableGen
+from .normalize import Branch, NormalQuery, SubQuery, TableGen, normalize
 from . import syntax as S
 from . import values as V
 
@@ -198,11 +200,6 @@ class _Renderer:
     def expr(self, e: S.Expr, boolean: bool = False) -> str:
         if isinstance(e, S.Const):
             return self.const(e.value, boolean)
-        if isinstance(e, S.ValueLit):
-            v = V.strip_annotations(e.value)
-            if isinstance(v, V.VConst):
-                return self.const(v.value, boolean)
-            raise _NotRenderable()
         if isinstance(e, S.Project) and isinstance(e.expr, S.Var):
             name = e.expr.name
             if name not in self.scopes:
@@ -261,18 +258,10 @@ class _Renderer:
         raise _NotRenderable()
 
 
-def _const_type(x) -> S.Type:
-    """The base type of a constant's Python value."""
-    return S.BOOL if isinstance(x, bool) else S.INT if isinstance(x, int) else S.STRING
-
-
 def leaf_type(e: S.Expr, scopes: dict[str, tuple[str, S.Row]]) -> S.Type:
     if isinstance(e, S.Const):
-        return _const_type(e.value)
-    if isinstance(e, S.ValueLit):
-        v = V.strip_annotations(e.value)
-        if isinstance(v, V.VConst):
-            return _const_type(v.value)
+        x = e.value
+        return S.BOOL if isinstance(x, bool) else S.INT if isinstance(x, int) else S.STRING
     if isinstance(e, S.Project) and isinstance(e.expr, S.Var):
         entry = scopes.get(e.expr.name)
         if entry is not None:
@@ -354,14 +343,6 @@ def _flatten_result(
             cols.extend(c)
             cells.append(s)
         return cols, ListShape(cells)
-    if isinstance(e, S.ValueLit) and isinstance(e.value, V.VRecord):
-        cols = []
-        fields = []
-        for l, x in e.value.fields:
-            c, s = _flatten_result(S.ValueLit(x), r, hole)
-            cols.extend(c)
-            fields.append((l, s))
-        return cols, RecordShape(fields)
     return [r.expr(e)], LeafShape(leaf_type(e, r.scopes))
 
 
@@ -573,50 +554,59 @@ def _next_oids(conn, table: str, count: int) -> list[int]:
 
 
 def apply_update(conn, stmt: S.Expr, schema: dict[str, S.Row]) -> None:
-    """Translate one insert/update/delete statement to SQL and run it."""
-    from .normalize import _norm_cond, rewrite_fixpoint
+    """Translate one insert/update/delete statement to SQL and run it.
+
+    An insert checks every row before it writes any.  An update or delete
+    is the normal form of the comprehension ``for (x <-- T) where (pred)
+    [(l1 = e1, ...)]``, with a unit result for a delete: its one branch's
+    conditions become the WHERE, its result fields the SET list.
+    """
     from .interp import eval_big
     from .typecheck import Mode
 
     if isinstance(stmt, S.Insert):
-        table = _resolve_table(stmt.table)
-        _, rows_v = eval_big(Database(), rewrite_fixpoint(stmt.values), Mode.PLAIN)
+        _, t = eval_big(Database(), stmt.table, Mode.PLAIN)
+        if not isinstance(t, V.VTable):
+            raise BackendError("insert target is not a table")
+        _, rows_v = eval_big(Database(), stmt.values, Mode.PLAIN)
         if not isinstance(rows_v, V.VList):
             raise BackendError("insert values did not evaluate to a list")
-        td_row = schema[table.name]
-        cols = [l for l, _ in td_row if l != OID]
-        oids = _next_oids(conn, table.name, len(rows_v.items))
-        for oid, item in zip(oids, rows_v.items):
-            if not isinstance(item, V.VRecord):
-                raise BackendError("insert row is not a record")
-            labels = [l for l, _ in item.fields]
-            if OID in labels:
+        cols = [l for l, _ in schema[t.name] if l != OID]
+        rows = [value_row(item) for item in rows_v.items]
+        for row in rows:
+            if OID in row:
                 raise BackendError("attempt to write oid")
-            vals = []
             for c in cols:
-                x = V.strip_annotations(item.get(c))
-                assert isinstance(x, V.VConst)
-                vals.append(int(x.value) if isinstance(x.value, bool) else x.value)
-            collist = ", ".join(qident(c) for c in cols + [OID])
-            qs = ", ".join("?" for _ in range(len(cols) + 1))
-            conn.execute(
-                f"INSERT INTO {qident(table.name)} ({collist}) VALUES ({qs})",
-                (*vals, oid),
-            )
+                if c not in row:
+                    raise BackendError(f"insert row lacks column {c!r}")
+        oids = _next_oids(conn, t.name, len(rows))
+        collist = ", ".join(qident(c) for c in cols + [OID])
+        qs = ", ".join("?" for _ in range(len(cols) + 1))
+        conn.executemany(
+            f"INSERT INTO {qident(t.name)} ({collist}) VALUES ({qs})",
+            [(*(row[c] for c in cols), oid) for row, oid in zip(rows, oids)],
+        )
         conn.commit()
         return
     if not isinstance(stmt, (S.Update, S.Delete)):
         raise BackendError(f"not an update statement: {type(stmt).__name__}")
-    table = _resolve_table(stmt.table)
+    assigns = stmt.assigns if isinstance(stmt, S.Update) else ()
+    if any(label == OID for label, _ in assigns):
+        raise BackendError("attempt to write oid")
+    body = S.Where(stmt.pred, S.Singleton(S.RecordLit(assigns)))
+    nq = normalize(S.For(stmt.var, stmt.table, body, True))
+    # a target that is not one table leaves no branch, several, or one
+    # whose generator is not the statement's own
+    if len(nq.branches) != 1 or [g.var for g in nq.branches[0].gens] != [stmt.var]:
+        raise BackendError("update target is not a table")
+    (b,) = nq.branches
+    (g,) = b.gens
     # the target has an alias, so a correlated subquery over the same table
     # cannot capture its columns
-    r, ((_, alias),) = _Renderer().bind([TableGen(stmt.var, table.name, schema[table.name])])
-    target = f"{qident(table.name)} AS {qident(alias)}"
-    if isinstance(stmt, S.Update) and any(label == OID for label, _ in stmt.assigns):
-        raise BackendError("attempt to write oid")
+    r, ((_, alias),) = _Renderer().bind([replace(g, row=schema[g.table])])
+    target = f"{qident(g.table)} AS {qident(alias)}"
     try:
-        cond = _norm_cond(rewrite_fixpoint(stmt.pred))
-        pred = r.expr(cond, True)
+        pred = " AND ".join(r.expr(c, True) for c in b.conds)
         if isinstance(stmt, S.Update):
             # The interpreter computes every new row from the old table, but
             # SQLite evaluates an UPDATE's SET values and WHERE row by row as
@@ -624,10 +614,10 @@ def apply_update(conn, stmt: S.Expr, schema: dict[str, S.Row]) -> None:
             # already changed.  Subqueries stay out of SET values; a WHERE
             # with one selects its targets first, in an uncorrelated IN
             # (whose own "t0" shadows the target's), as DELETE does itself.
-            sets = ", ".join(
-                f"{qident(label)} = {r.expr(rewrite_fixpoint(x))}" for label, x in stmt.assigns
-            )
-            if any(isinstance(x, SubQuery) for x in S.walk(cond)):
+            if any(isinstance(x, SubQuery) for x in S.walk(b.result)):
+                raise _NotRenderable()
+            sets = ", ".join(f"{qident(label)} = {r.expr(x)}" for label, x in b.result.fields_)
+            if any(isinstance(x, SubQuery) for c in b.conds for x in S.walk(c)):
                 pred = f"{qident(alias)}.rowid IN (SELECT {qident(alias)}.rowid FROM {target} WHERE {pred})"
             sql = f"UPDATE {target} SET {sets} WHERE {pred}"
         else:
@@ -637,17 +627,6 @@ def apply_update(conn, stmt: S.Expr, schema: dict[str, S.Row]) -> None:
         raise BackendError(f"{what} is not SQL-renderable") from None
     conn.execute(sql)
     conn.commit()
-
-
-def _resolve_table(e: S.Expr) -> S.TableRef:
-    from .normalize import rewrite_fixpoint
-
-    t = rewrite_fixpoint(e)
-    if isinstance(t, S.ValueLit) and isinstance(t.value, V.VTable):
-        return S.TableRef(t.value.name, t.value.row, t.value.spec)
-    if not isinstance(t, S.TableRef):
-        raise BackendError("update target is not a table")
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ class TestOuterTranslation:
         prog = parse_program(
             "sig f : (Int) -> Int\nfun f(x) { x + 1 }\nlineage { [f(1)] }"
         )
-        out = d_translate_program(prog)
+        out = d_translate_program(prog, typecheck_program(prog, Mode.LINEAGE))
         pairexpr = out.decls[0].expr
         assert isinstance(pairexpr, S.RecordLit)
         plain, lin = dict(pairexpr.fields_)["1"], dict(pairexpr.fields_)["2"]
@@ -135,7 +135,7 @@ class TestOuterTranslation:
 
     def test_lineage_block_becomes_query(self):
         prog = parse_program("lineage { [1] }")
-        out = d_translate_program(prog)
+        out = d_translate_program(prog, typecheck_program(prog, Mode.LINEAGE))
         assert out.main == S.Query(
             S.Singleton(
                 S.record_lit([("data", S.Const(1)), ("prov", S.EmptyList(PAIR))])
@@ -146,7 +146,7 @@ class TestOuterTranslation:
         prog = parse_program(
             'var t = table "T" with (a: Int);\nlineage { for (x <-- t) [x.a] }'
         )
-        out = d_translate_program(prog)
+        out = d_translate_program(prog, typecheck_program(prog, Mode.LINEAGE))
         pairexpr = out.decls[0].expr
         raw = dict(pairexpr.fields_)["1"]
         view = dict(pairexpr.fields_)["2"]
@@ -157,7 +157,7 @@ class TestOuterTranslation:
         for text in [suites.BOAT_TOURS_LINEAGE, suites.LINEAGE_SUITE["QC4"]["lineage"]]:
             prog = parse_program(text)
             checked = typecheck_program(prog, Mode.LINEAGE)
-            out = d_translate_program(prog)
+            out = d_translate_program(prog, checked)
             rechecked = typecheck_program(out, Mode.PLAIN)
             assert rechecked.main.ty == doubled_type(checked.main.ty)
 
@@ -166,8 +166,7 @@ class TestEndToEnd:
     def test_translation_matches_interpreter(self, tours_db):
         for i in range(40):
             prog = ProgGen(70_000 + i, Mode.LINEAGE, max_depth=4).program()
-            typecheck_program(prog, Mode.LINEAGE)
-            translated = d_translate_program(prog)
+            translated = d_translate_program(prog, typecheck_program(prog, Mode.LINEAGE))
             _, direct = eval_big(tours_db.copy(), prog.as_expr(), Mode.PLAIN)
             _, via_plain = eval_big(tours_db.copy(), translated.as_expr(), Mode.PLAIN)
             assert V.canonical_order(d2a(direct)) == V.canonical_order(d2a(via_plain)), i

@@ -1,5 +1,8 @@
 """Rewriting to comprehension normal form."""
 
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from provql import pipeline, suites
@@ -20,6 +23,13 @@ from provql.normalize import (
 )
 from provql.parser import parse_expr, parse_program, pretty_print_program
 from provql.progen import ProgGen
+from provql.sqlbackend import (
+    apply_update,
+    bench_schema_rows,
+    generate_benchmark_data,
+    load_database,
+    read_database,
+)
 from provql.typecheck import Mode, typecheck_program
 
 
@@ -160,8 +170,32 @@ class TestSoundness:
             _, back = eval_big(tours_db.copy(), render_back(nq), Mode.PLAIN)
             assert V.canonical_order(back) == expect, i
 
-    def test_termination_cap_raises(self):
-        # pathological self-growing term: the cap reports rather than hangs
-        loop = parse_expr("(fun f(x) { f(x) })(1)")
-        with pytest.raises(NormalizeError):
-            rewrite_fixpoint(S.For("y", S.Singleton(loop), S.Singleton(S.Var("y"))), 500)
+    OMEGA = "(fun (x) { x(x) })(fun (x) { x(x) })"
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("for (y <- [(fun f(x) { f(x) })(1)]) [y]", "recursive function"),
+            # a term that rewrites to itself forever: the cap reports
+            # rather than hangs
+            (f"for (y <- [{OMEGA}]) [y]", "did not terminate"),
+            (
+                'update (x <-- table "tasks" with (oid: Int, employee: String, task: String)'
+                f" where oid readonly) where (true) set (task = {OMEGA})",
+                "did not terminate",
+            ),
+        ],
+        ids=["recursive", "cap", "cap-in-update"],
+    )
+    def test_termination_cap_raises(self, text, match):
+        e = parse_expr(text)
+        if not isinstance(e, S.Update):
+            with pytest.raises(NormalizeError, match=match):
+                normalize(e)
+            return
+        db = generate_benchmark_data(1, seed=3, employees_per_dept=4)
+        with closing(sqlite3.connect(":memory:")) as conn:
+            load_database(conn, db)
+            with pytest.raises(NormalizeError, match=match):
+                apply_update(conn, e, bench_schema_rows())
+            assert read_database(conn, bench_schema_rows()).get("tasks").rows == db.get("tasks").rows

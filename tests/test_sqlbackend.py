@@ -8,7 +8,7 @@ import pytest
 from provql import bench, pipeline, suites
 from provql import syntax as S
 from provql import values as V
-from provql.errors import BackendError
+from provql.errors import BackendError, ProvqlError
 from provql.interp import d2a, eval_big
 from provql.normalize import Branch, NormalQuery, SubQuery, TableGen
 from provql.parser import parse_expr, pretty_print_program
@@ -243,6 +243,31 @@ class TestUpdates:
             apply_update(conn, stmt, bench_schema_rows())
         sdb = read_database(conn, bench_schema_rows())
         assert sdb.get("tasks").rows == db.get("tasks").rows
+
+    TASKS = 'table "tasks" with (oid: Int, employee: String, task: String) where oid readonly'
+
+    def test_insert_of_non_base_field_rejected(self):
+        _, conn = self._setup()
+        stmt = parse_expr(f'insert ({self.TASKS}) values [(employee = "ok", task = ["a"])]')
+        with pytest.raises(ProvqlError, match="not base-typed"):
+            apply_update(conn, stmt, bench_schema_rows())
+
+    def test_rejected_insert_writes_nothing(self):
+        # the second row lacks a column: the first is not written either,
+        # and takes no oid
+        db, conn = self._setup()
+        bad = parse_expr(
+            f'insert ({self.TASKS}) values [(employee = "ok", task = "a"), (employee = "bad")]'
+        )
+        with pytest.raises(ProvqlError, match="task"):
+            apply_update(conn, bad, bench_schema_rows())
+        assert read_database(conn, bench_schema_rows()).get("tasks").rows == db.get("tasks").rows
+        good = parse_expr(f'insert ({self.TASKS}) values [(employee = "ok", task = "a")]')
+        apply_update(conn, good, bench_schema_rows())
+        eval_big(db, good, Mode.PLAIN)
+        sdb = read_database(conn, bench_schema_rows())
+        assert sdb.get("tasks").rows == db.get("tasks").rows
+        assert sdb.get("tasks").next_oid == db.get("tasks").next_oid
 
     def test_writing_oid_rejected(self):
         _, conn = self._setup()
