@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import count, groupby
 from random import Random
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .database import Database, OID, value_row
 from .errors import BackendError
@@ -143,25 +143,30 @@ def compile_decoder(shape: Shape, start: int) -> Callable:
     integers enter its source, so plans with the same shapes share its
     compiled code."""
     env: dict = {"R": V.VRecord, "L": V.VList, "EMPTY": V.VList(())}
-    names = iter(shape_names(shape))
-    cols = count(start)
+    source = _decoder_source(shape, env, iter(shape_names(shape)), count(start))
+    return eval(_compiled(f"lambda row: {source}"), env)
 
-    def src(s: Shape) -> str:
-        if isinstance(s, LeafShape):
-            i = next(cols)
-            env[f"c{i}"] = _Column(s.ty, next(names))
-            return f"c{i}[row[{i}]]"
-        if isinstance(s, HoleShape):
-            # the row's own key is its leading columns: the rowids of every
-            # generator in scope
-            h = f"h{len(env)}"
-            env[h] = s.hole
-            return f"{h}.groups.get(row[:{s.hole.key_width}], EMPTY)"
-        if isinstance(s, RecordShape):
-            return "R((" + "".join(f"({l!r}, {src(x)}), " for l, x in s.fields) + "))"
-        return "L((" + "".join(f"{src(x)}, " for x in s.cells) + "))"
 
-    return eval(_compiled(f"lambda row: {src(shape)}"), env)
+def _decoder_source(s: Shape, env: dict, names: Iterator[str], cols: Iterator[int]) -> str:
+    """The decoder expression for ``s``; puts the columns and holes it
+    reads into ``env``.  A module function, not a closure: a recursive
+    closure refers to itself, which would leave every decoder's columns,
+    and the values they interned, for the cycle collector."""
+    if isinstance(s, LeafShape):
+        i = next(cols)
+        env[f"c{i}"] = _Column(s.ty, next(names))
+        return f"c{i}[row[{i}]]"
+    if isinstance(s, HoleShape):
+        # the row's own key is its leading columns: the rowids of every
+        # generator in scope
+        h = f"h{len(env)}"
+        env[h] = s.hole
+        return f"{h}.groups.get(row[:{s.hole.key_width}], EMPTY)"
+    if isinstance(s, RecordShape):
+        fields = "".join(f"({l!r}, {_decoder_source(x, env, names, cols)}), " for l, x in s.fields)
+        return f"R(({fields}))"
+    cells = "".join(f"{_decoder_source(x, env, names, cols)}, " for x in s.cells)
+    return f"L(({cells}))"
 
 
 @lru_cache(maxsize=1024)
@@ -470,6 +475,8 @@ BENCH_INDEXES = [
     ("tasks", "task"),
     ("employees", "dept"),
     ("contacts", "dept"),
+    ("employees", "name"),
+    ("departments", "name"),
 ]
 
 
@@ -571,7 +578,7 @@ def apply_update(conn, stmt: S.Expr, schema: dict[str, S.Row]) -> None:
         _, rows_v = eval_big(Database(), stmt.values, Mode.PLAIN)
         if not isinstance(rows_v, V.VList):
             raise BackendError("insert values did not evaluate to a list")
-        cols = [l for l, _ in schema[t.name] if l != OID]
+        cols = [l for l, _ in _schema_row(schema, t.name) if l != OID]
         rows = [value_row(item) for item in rows_v.items]
         for row in rows:
             if OID in row:
@@ -603,7 +610,7 @@ def apply_update(conn, stmt: S.Expr, schema: dict[str, S.Row]) -> None:
     (g,) = b.gens
     # the target has an alias, so a correlated subquery over the same table
     # cannot capture its columns
-    r, ((_, alias),) = _Renderer().bind([replace(g, row=schema[g.table])])
+    r, ((_, alias),) = _Renderer().bind([replace(g, row=_schema_row(schema, g.table))])
     target = f"{qident(g.table)} AS {qident(alias)}"
     try:
         pred = " AND ".join(r.expr(c, True) for c in b.conds)
@@ -627,6 +634,12 @@ def apply_update(conn, stmt: S.Expr, schema: dict[str, S.Row]) -> None:
         raise BackendError(f"{what} is not SQL-renderable") from None
     conn.execute(sql)
     conn.commit()
+
+
+def _schema_row(schema: dict[str, S.Row], table: str) -> S.Row:
+    if table not in schema:
+        raise BackendError(f"write to unknown table {table!r}")
+    return schema[table]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Union, get_type_hints
 
 # ---------------------------------------------------------------------------
 # Source spans
@@ -207,22 +207,46 @@ class Expr:
     span: Optional[Span] = field(default=None, compare=False, kw_only=True)
 
     def children(self) -> Iterator["Expr"]:
-        for f in fields(self):
-            if f.name == "span":
-                continue
-            v = getattr(self, f.name)
-            if isinstance(v, Expr):
+        for name, kind in _LAYOUTS[type(self)]:
+            v = getattr(self, name)
+            if kind == _ONE:
                 yield v
-            elif isinstance(v, tuple):
-                for item in v:
-                    if isinstance(item, Expr):
-                        yield item
-                    elif (
-                        isinstance(item, tuple)
-                        and len(item) == 2
-                        and isinstance(item[1], Expr)
-                    ):
-                        yield item[1]
+            elif kind == _SEQ:
+                yield from v
+            else:
+                for _, x in v:
+                    yield x
+
+
+# How a node field holds children: one Expr, a tuple of them, or a tuple of
+# (label, Expr) pairs.  Fields of any other type hold none; a table's
+# provenance-spec functions are not its children.
+_ONE, _SEQ, _PAIRS = range(3)
+
+
+def _child_kind(hint) -> Optional[int]:
+    if hint == tuple[Expr, ...]:
+        return _SEQ
+    if hint == tuple[tuple[str, Expr], ...]:
+        return _PAIRS
+    if isinstance(hint, type) and issubclass(hint, Expr):
+        return _ONE
+    return None
+
+
+class _Layouts(dict):
+    """Each node class's child layout, ``(field name, kind)`` for every
+    field that holds children in declaration order, computed from the
+    class's annotations when it is first traversed."""
+
+    def __missing__(self, cls: type) -> tuple[tuple[str, int], ...]:
+        hints = get_type_hints(cls)
+        kinds = ((f.name, _child_kind(hints[f.name])) for f in fields(cls))
+        layout = self[cls] = tuple((n, k) for n, k in kinds if k is not None)
+        return layout
+
+
+_LAYOUTS = _Layouts()
 
 
 @dataclass(frozen=True)
@@ -485,15 +509,13 @@ def fresh_name(base: str, avoid: set[str]) -> str:
             return cand
 
 
-def _rebuild(e: Expr, **updates) -> Expr:
-    vals = {f.name: getattr(e, f.name) for f in fields(e)}
-    vals.update(updates)
-    return type(e)(**vals)
-
-
 def rebuild(e: Expr, **updates) -> Expr:
     """Copy a node with some fields replaced."""
-    return _rebuild(e, **updates)
+    # Nodes are frozen dataclasses with no __post_init__: a copy of the
+    # instance dict is a valid node, and much cheaper than __init__.
+    new = object.__new__(type(e))
+    new.__dict__.update(e.__dict__, **updates)
+    return new
 
 
 def substitute(e: Expr, bindings: dict) -> Expr:
@@ -532,17 +554,23 @@ def _subst(e: Expr, subst: dict[str, Expr], avoid: set[str]) -> Expr:
             ren[fname] = Var(new_f)
             fname = new_f
         body = _subst(e.body, ren, set()) if ren else e.body
-        if not live:
-            return _rebuild(e, fname=fname, params=tuple(params), body=body)
-        return _rebuild(e, fname=fname, params=tuple(params), body=_subst(body, live, avoid))
+        if live:
+            body = _subst(body, live, avoid)
+        if not ren and body is e.body:
+            return e
+        return rebuild(e, fname=fname, params=tuple(params), body=body)
     if isinstance(e, Let):
         value = _subst(e.value, subst, avoid)
-        body = _sub_under_binder(e.body, e.name, subst, avoid)
-        return _rebuild(e, value=value, body=body[1], name=body[0])
+        name, body = _sub_under_binder(e.body, e.name, subst, avoid)
+        if value is e.value and name == e.name and body is e.body:
+            return e
+        return rebuild(e, value=value, name=name, body=body)
     if isinstance(e, For):
         source = _subst(e.source, subst, avoid)
         var, body = _sub_under_binder(e.body, e.var, subst, avoid)
-        return _rebuild(e, source=source, var=var, body=body)
+        if source is e.source and var == e.var and body is e.body:
+            return e
+        return rebuild(e, source=source, var=var, body=body)
     if isinstance(e, Update):
         table = _subst(e.table, subst, avoid)
         live = {k: v for k, v in subst.items() if k != e.var}
@@ -557,22 +585,29 @@ def _subst(e: Expr, subst: dict[str, Expr], avoid: set[str]) -> Expr:
         if live:
             pred = _subst(pred, live, avoid)
             assigns = tuple((l, _subst(a, live, avoid)) for l, a in assigns)
-        return _rebuild(e, table=table, var=var, pred=pred, assigns=assigns)
+        if (
+            table is e.table
+            and var == e.var
+            and pred is e.pred
+            and all(a is b for (_, a), (_, b) in zip(assigns, e.assigns))
+        ):
+            return e
+        return rebuild(e, table=table, var=var, pred=pred, assigns=assigns)
     if isinstance(e, Delete):
         table = _subst(e.table, subst, avoid)
         var, pred = _sub_under_binder(e.pred, e.var, subst, avoid)
-        return _rebuild(e, table=table, var=var, pred=pred)
-    if isinstance(e, TableRef):
-        if not e.spec:
+        if table is e.table and var == e.var and pred is e.pred:
             return e
+        return rebuild(e, table=table, var=var, pred=pred)
+    if isinstance(e, TableRef):
         entries = tuple(
             ProvSpecEntry(x.column, None if x.fn is None else _subst(x.fn, subst, avoid))
             for x in e.spec.entries
         )
-        return _rebuild(e, spec=ProvSpec(entries))
-    if isinstance(e, (Const, ValueLit, EmptyList, DatabaseRef, Hole)):
-        return e
-    return _map_children(e, lambda c: _subst(c, subst, avoid))
+        if all(a.fn is b.fn for a, b in zip(entries, e.spec.entries)):
+            return e
+        return rebuild(e, spec=ProvSpec(entries))
+    return map_children(e, lambda c: _subst(c, subst, avoid))
 
 
 def _sub_under_binder(body: Expr, var: str, subst: dict, avoid: set[str]):
@@ -586,31 +621,26 @@ def _sub_under_binder(body: Expr, var: str, subst: dict, avoid: set[str]):
     return var, body
 
 
-def _map_children(e: Expr, f) -> Expr:
-    updates = {}
-    for fl in fields(e):
-        if fl.name == "span":
-            continue
-        v = getattr(e, fl.name)
-        if isinstance(v, Expr):
-            updates[fl.name] = f(v)
-        elif isinstance(v, tuple) and v and isinstance(v[0], Expr):
-            updates[fl.name] = tuple(f(item) for item in v)
-        elif (
-            isinstance(v, tuple)
-            and v
-            and isinstance(v[0], tuple)
-            and len(v[0]) == 2
-            and isinstance(v[0][1], Expr)
-        ):
-            updates[fl.name] = tuple((l, f(item)) for l, item in v)
-    if not updates:
-        return e
-    return _rebuild(e, **updates)
-
-
 def map_children(e: Expr, f) -> Expr:
-    return _map_children(e, f)
+    """``e`` with ``f`` applied to each child in field order; ``e`` itself
+    when ``f`` returns every child unchanged, so unchanged subtrees are
+    shared, not copied."""
+    updates = {}
+    for name, kind in _LAYOUTS[type(e)]:
+        v = getattr(e, name)
+        if kind == _ONE:
+            new = f(v)
+            if new is not v:
+                updates[name] = new
+        elif kind == _SEQ:
+            new = tuple(map(f, v))
+            if any(a is not b for a, b in zip(new, v)):
+                updates[name] = new
+        else:
+            new = tuple((l, f(x)) for l, x in v)
+            if any(a is not b for (_, a), (_, b) in zip(new, v)):
+                updates[name] = new
+    return rebuild(e, **updates) if updates else e
 
 
 def walk(e: Expr) -> Iterator[Expr]:

@@ -1,5 +1,6 @@
 """SQL rendering, execution, updates, and the data generator."""
 
+import gc
 import sqlite3
 from contextlib import closing
 
@@ -278,6 +279,19 @@ class TestUpdates:
         with pytest.raises(BackendError, match="oid"):
             apply_update(conn, stmt, bench_schema_rows())
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'insert (table "nope" with (a: Int)) values [(a = 1)]',
+            'update (x <-- table "nope" with (a: Int)) where (true) set (a = 2)',
+            'delete (x <-- table "nope" with (a: Int)) where (true)',
+        ],
+    )
+    def test_write_to_unknown_table_rejected(self, text):
+        _, conn = self._setup()
+        with pytest.raises(BackendError, match="unknown table 'nope'"):
+            apply_update(conn, parse_expr(text), bench_schema_rows())
+
 
 class TestGenerator:
     def test_deterministic_by_seed(self):
@@ -303,7 +317,14 @@ class TestGenerator:
         db = generate_benchmark_data(1, seed=1)
         ddl = schema_ddl(db)
         text = ";\n".join(ddl)
-        for idx in ("idx_tasks_employee", "idx_tasks_task", "idx_employees_dept", "idx_contacts_dept"):
+        for idx in (
+            "idx_tasks_employee",
+            "idx_tasks_task",
+            "idx_employees_dept",
+            "idx_contacts_dept",
+            "idx_employees_name",
+            "idx_departments_name",
+        ):
             assert idx in text
 
     def test_sql_round_trip(self):
@@ -399,6 +420,40 @@ class TestPlanExecutor:
         vi = _in_order(pipeline.run_interp(small_bench_db, prepared), mode)
         vs = _in_order(pipeline.run_sql(small_bench_conn, prepared), mode)
         assert vi == vs
+
+    @pytest.mark.parametrize(
+        "query,variant",
+        [(q, v) for suite in (suites.WHERE_SUITE, suites.LINEAGE_SUITE) for q in suite for v in suite[q]],
+    )
+    def test_suite_statements_use_no_automatic_index(self, query, variant, small_bench_conn):
+        # an automatic index is built on every run of the statement
+        suite = suites.WHERE_SUITE if variant in VARIANT_MODES_WHERE else suites.LINEAGE_SUITE
+        prepared = pipeline.prepare(suite[query][variant], VARIANT_MODES[variant])
+        explain: list = []
+        pipeline.run_sql(small_bench_conn, prepared, explain=explain)
+        assert explain
+        for sql in explain:
+            plan = small_bench_conn.execute(f"EXPLAIN QUERY PLAN {sql}").fetchall()
+            assert not [row for row in plan if "AUTOMATIC" in row[-1]], sql
+
+    @pytest.mark.parametrize(
+        "query,variant",
+        [(q, v) for suite in (suites.WHERE_SUITE, suites.LINEAGE_SUITE) for q in suite for v in suite[q]],
+    )
+    def test_run_leaves_no_cyclic_garbage(self, query, variant, small_bench_conn):
+        # the decoders' interned columns, and every value they hold, are
+        # freed by reference counting when the run's plan goes
+        suite = suites.WHERE_SUITE if variant in VARIANT_MODES_WHERE else suites.LINEAGE_SUITE
+        mode = VARIANT_MODES[variant]
+        nq = pipeline.normalized_query(pipeline.prepare(suite[query][variant], mode))
+        gc.collect()
+        gc.disable()
+        try:
+            # the result stays live across the collection, as in a caller
+            out = pipeline.comparable(pipeline.PlanExecutor(small_bench_conn).run(nq), mode)
+            assert gc.collect() == 0, out
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize(
         "body",

@@ -1,14 +1,17 @@
 """Core syntax operations: substitution, free variables, canonical order."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from provql import pipeline, suites
 from provql import syntax as S
 from provql import values as V
 from provql.database import Database
 from provql.errors import EvalError
 from provql.interp import eval_big
-from provql.parser import parse_expr
+from provql.parser import parse_expr, parse_program
 from provql.typecheck import Mode
 
 
@@ -146,3 +149,137 @@ class TestRows:
         spec = S.ProvSpec((S.ProvSpecEntry("x", None),))
         with pytest.raises(ValueError):
             spec.validate_against(S.make_row([("y", S.INT)]))
+
+
+# ---------------------------------------------------------------------------
+# The traversal kernel against a generic reference
+
+
+def _reference_children(e):
+    """Children as a generic scan of every field finds them: an Expr, or a
+    tuple of Exprs or of (label, Expr) pairs."""
+    for f in dataclasses.fields(e):
+        if f.name == "span":
+            continue
+        v = getattr(e, f.name)
+        if isinstance(v, S.Expr):
+            yield v
+        elif isinstance(v, tuple):
+            for item in v:
+                if isinstance(item, S.Expr):
+                    yield item
+                elif isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], S.Expr):
+                    yield item[1]
+
+
+def _reference_walk(e):
+    yield e
+    if isinstance(e, S.TableRef):
+        for entry in e.spec.entries:
+            if entry.fn is not None:
+                yield from _reference_walk(entry.fn)
+        return
+    for c in _reference_children(e):
+        yield from _reference_walk(c)
+
+
+def _reference_free_vars(e, bound=frozenset()) -> set:
+    if isinstance(e, S.Var):
+        return set() if e.name in bound else {e.name}
+    if isinstance(e, S.TableRef):
+        parts = [(x.fn, bound) for x in e.spec.entries if x.fn is not None]
+    elif isinstance(e, S.Fun):
+        parts = [(e.body, bound | set(e.params) | ({e.fname} if e.fname else set()))]
+    elif isinstance(e, S.Let):
+        parts = [(e.value, bound), (e.body, bound | {e.name})]
+    elif isinstance(e, S.For):
+        parts = [(e.source, bound), (e.body, bound | {e.var})]
+    elif isinstance(e, S.Update):
+        inner = [e.pred, *(a for _, a in e.assigns)]
+        parts = [(e.table, bound)] + [(x, bound | {e.var}) for x in inner]
+    elif isinstance(e, S.Delete):
+        parts = [(e.table, bound), (e.pred, bound | {e.var})]
+    else:
+        parts = [(c, bound) for c in _reference_children(e)]
+    return set().union(*(_reference_free_vars(x, b) for x, b in parts))
+
+
+_SUITE_PROGRAMS = {
+    f"{q}-{v}": (suite[q][v], mode)
+    for suite, modes in (
+        (suites.WHERE_SUITE, {"allprov": Mode.WHERE, "someprov": Mode.WHERE, "noprov": Mode.PLAIN}),
+        (suites.LINEAGE_SUITE, {"lineage": Mode.LINEAGE, "nolineage": Mode.PLAIN}),
+    )
+    for q in suite
+    for v, mode in modes.items()
+}
+
+# node kinds the suites lack: spec functions, every write, several assigns
+_WRITES = [
+    'for (x <-- table "t" with (a: String) where a prov fun (r) { (s, "a", r.oid) }) [x.a]',
+    'update (x <-- table "t" with (a: Int, b: Int)) where (x.a > n) set (a = x.a + m, b = x.b)',
+    'delete (x <-- table "t" with (a: Int)) where (x.a == k)',
+    'insert (table "t" with (a: Int)) values [(a = k)]',
+]
+
+
+def _program_terms(name: str) -> list:
+    """The terms a suite program goes through before normalizing: its
+    source declarations and main, the translated ones, and the query body
+    they fold into."""
+    text, mode = _SUITE_PROGRAMS[name]
+    prepared = pipeline.prepare(text, mode)
+    out = []
+    for prog in (parse_program(text), prepared.translated):
+        out += [d.expr for d in prog.decls] + [prog.main]
+    return out + [pipeline.query_expr(prepared.translated)]
+
+
+def _nodes(terms) -> list:
+    seen = {}
+    for t in terms:
+        for node in _reference_walk(t):
+            seen.setdefault(id(node), node)
+    return list(seen.values())
+
+
+_CORPORA = sorted(_SUITE_PROGRAMS) + ["writes"]
+
+
+def _corpus(name: str) -> list:
+    return _nodes([parse_expr(t) for t in _WRITES] if name == "writes" else _program_terms(name))
+
+
+class TestKernel:
+    @pytest.mark.parametrize("name", _CORPORA)
+    def test_unchanged_children_share_the_node(self, name):
+        for node in _corpus(name):
+            assert S.map_children(node, lambda c: c) is node
+            assert S.substitute(node, {"zz_unbound": S.Const(1)}) is node
+
+    @pytest.mark.parametrize("name", _CORPORA)
+    def test_walk_and_free_vars_match_reference(self, name):
+        for node in _corpus(name):
+            assert list(node.children()) == list(_reference_children(node))
+            assert [id(x) for x in S.walk(node)] == [id(x) for x in _reference_walk(node)]
+            assert S.free_vars(node) == _reference_free_vars(node)
+
+    def test_rebuilds_only_the_changed_path(self):
+        e = parse_expr("(a = x + 1, b = [y], c = z)")
+        out = S.map_children(e, lambda c: S.Var("w") if c == S.Var("z") else c)
+        assert out is not e
+        assert [l for l, _ in out.fields_] == ["a", "b", "c"]
+        assert out.fields_[0][1] is e.fields_[0][1]
+        assert out.fields_[1][1] is e.fields_[1][1]
+        assert out.fields_[2][1] == S.Var("w")
+        e = parse_expr("for (v <- xs) [(p = v + 1, q = z)]")
+        out = S.substitute(e, {"z": S.Const(3)})
+        assert out.source is e.source
+        assert out.body.item.fields_[0][1] is e.body.item.fields_[0][1]
+        assert out.body.item.fields_[1][1] == S.Const(3)
+
+    def test_corpus_covers_every_field_kind(self):
+        nodes = _corpus("writes") + _corpus("Q1-allprov")
+        kinds = {type(n) for n in nodes}
+        assert {S.Update, S.Delete, S.Insert, S.RecordLit, S.App, S.Fun}.issubset(kinds)
+        assert any(isinstance(n, S.TableRef) and any(x.fn for x in n.spec.entries) for n in nodes)
