@@ -42,7 +42,7 @@ def _cso(db: Database, x: TermOrValue, out: set) -> None:
             out.add(x)
             _cso(db, x.base, out)
         elif isinstance(x, V.VRecord):
-            for _, v in x.fields:
+            for v in x.values:
                 _cso(db, v, out)
         elif isinstance(x, V.VList):
             for v in x.items:
@@ -105,7 +105,7 @@ def _collect(x: TermOrValue, db, out: set) -> None:
             for v in x.items:
                 _collect(v, db, out)
         elif isinstance(x, V.VRecord):
-            for _, v in x.fields:
+            for v in x.values:
                 _collect(v, db, out)
         elif isinstance(x, V.VTable):
             _collect_table(x.name, db, out)
@@ -159,7 +159,7 @@ def _restrict_value(v: V.Value, b: frozenset) -> V.Value:
     if isinstance(v, V.VList):
         return V.VList(tuple(_restrict_value(x, b) for x in v.items))
     if isinstance(v, V.VRecord):
-        return V.VRecord(tuple((l, _restrict_value(x, b)) for l, x in v.fields))
+        return V.VRecord(v.labels, tuple([_restrict_value(x, b) for x in v.values]))
     if isinstance(v, V.VClosure):
         if v.env is None:
             return V.VClosure(v.fname, v.params, _restrict_term(v.body, b), None)
@@ -198,9 +198,9 @@ def sublist(p: V.Value, v: V.Value) -> bool:
     if isinstance(p, V.VAnnList) and isinstance(v, V.VAnnList):
         return _embed(p.cells, v.cells)
     if isinstance(p, V.VRecord) and isinstance(v, V.VRecord):
-        if [l for l, _ in p.fields] != [l for l, _ in v.fields]:
+        if p.labels != v.labels:
             raise EvalError("sublist on records with different labels")
-        return all(sublist(a, b) for (_, a), (_, b) in zip(p.fields, v.fields))
+        return all(map(sublist, p.values, v.values))
     if type(p) is not type(v):
         raise EvalError(
             f"sublist on mismatched shapes: {type(p).__name__} vs {type(v).__name__}"
@@ -227,7 +227,7 @@ def count_cells(v: V.Value) -> int:
     if isinstance(v, V.VList):
         return len(v.items) + sum(count_cells(x) for x in v.items)
     if isinstance(v, V.VRecord):
-        return sum(count_cells(x) for _, x in v.fields)
+        return sum(map(count_cells, v.values))
     return 0
 
 
@@ -246,8 +246,8 @@ def _enum(v: V.Value) -> Iterator[V.Value]:
                     tuple((c, cell[1]) for c, cell in zip(combo, kept))
                 )
     elif isinstance(v, V.VRecord):
-        for combo in itertools.product(*(_enum(x) for _, x in v.fields)):
-            yield V.VRecord(tuple((l, c) for (l, _), c in zip(v.fields, combo)))
+        for combo in itertools.product(*map(_enum, v.values)):
+            yield V.VRecord(v.labels, combo)
     else:
         yield v
 
@@ -265,7 +265,7 @@ def random_sublist(v: V.Value, rng: Random, max_keep: int = 3) -> V.Value:
         return V.VAnnList(cells)
     if isinstance(v, V.VRecord):
         return V.VRecord(
-            tuple((l, random_sublist(x, rng, max_keep)) for l, x in v.fields)
+            v.labels, tuple([random_sublist(x, rng, max_keep) for x in v.values])
         )
     return v
 

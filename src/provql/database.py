@@ -94,8 +94,13 @@ class Database:
     # -- value conversion ---------------------------------------------------
 
     def rows_as_values(self, name: str) -> V.VList:
+        """The visible rows as records that share one labels tuple."""
         td = self.get(name)
-        return V.VList(tuple(row_value(r) for r in td.visible_rows()))
+        labels = tuple(sorted(S.row_labels(td.schema)))
+        rows = td.visible_rows()
+        return V.VList(
+            tuple([V.VRecord(labels, tuple([V.VConst(r[l]) for l in labels])) for r in rows])
+        )
 
     def rows_annotated_where(self, name: str, spec: S.ProvSpec, eval_fn) -> V.VList:
         """Rows with where-provenance cells per the table's prov spec.
@@ -104,24 +109,25 @@ class Database:
         user-supplied provenance function.
         """
         td = self.get(name)
+        labels = tuple(sorted(S.row_labels(td.schema)))
         out = []
         for r in td.visible_rows():
-            fields = []
-            for label, _ in td.schema:
+            values = []
+            for label in labels:
                 base = V.VConst(r[label])
                 entry = spec.lookup(label)
                 if entry is None:
-                    fields.append((label, base))
+                    values.append(base)
                 elif entry.fn is None:
                     color = V.WhereColor(name, label, r[OID])
-                    fields.append((label, V.VAnnot(base, color)))
+                    values.append(V.VAnnot(base, color))
                 else:
                     t = eval_fn(entry.fn, row_value(r))
                     color = V.WhereColor(
                         _as_str(t.get("1")), _as_str(t.get("2")), _as_int(t.get("3"))
                     )
-                    fields.append((label, V.VAnnot(base, color)))
-            out.append(V.vrecord(fields))
+                    values.append(V.VAnnot(base, color))
+            out.append(V.VRecord(labels, tuple(values)))
         return V.VList(tuple(out))
 
     def lineage_cells(self, name: str) -> list:
@@ -172,7 +178,7 @@ def value_row(v: V.Value) -> dict:
     if not isinstance(v, V.VRecord):
         raise EvalError("expected a record row")
     out = {}
-    for label, x in v.fields:
+    for label, x in zip(v.labels, v.values):
         x = V.strip_annotations(x)
         if not isinstance(x, V.VConst):
             raise EvalError(f"row field {label!r} is not base-typed")

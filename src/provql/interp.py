@@ -522,7 +522,7 @@ def annotate(v: V.Value) -> V.Value:
     if isinstance(v, V.VAnnList):
         return V.VAnnList(tuple((annotate(x), cs) for x, cs in v.cells))
     if isinstance(v, V.VRecord):
-        return V.VRecord(tuple((l, annotate(x)) for l, x in v.fields))
+        return V.VRecord(v.labels, tuple([annotate(x) for x in v.values]))
     if isinstance(v, V.VClosure):
         if v.env is None:
             return V.VClosure(v.fname, v.params, annotate_term(v.body), None)
@@ -570,12 +570,12 @@ def a2d(v: V.Value) -> V.Value:
             prov = V.VList(
                 tuple(V.color_value(c) for c in sorted(cs, key=V.color_sort_key))
             )
-            out.append(V.vrecord([("data", a2d(x)), ("prov", prov)]))
+            out.append(V.VRecord(V.DATA_PROV_LABELS, (a2d(x), prov)))
         return V.VList(tuple(out))
     if isinstance(v, V.VList):
         return V.VList(tuple(a2d(x) for x in v.items))
     if isinstance(v, V.VRecord):
-        return V.VRecord(tuple((l, a2d(x)) for l, x in v.fields))
+        return V.VRecord(v.labels, tuple([a2d(x) for x in v.values]))
     return v
 
 
@@ -592,26 +592,23 @@ def d2a(v: V.Value) -> V.Value:
     if isinstance(v, V.VList):
         cells = []
         for x in v.items:
-            if not (
-                isinstance(x, V.VRecord)
-                and [l for l, _ in x.fields] == ["data", "prov"]
-            ):
+            if not (isinstance(x, V.VRecord) and x.labels == V.DATA_PROV_LABELS):
                 raise EvalError("value is not in data/prov form")
-            prov = x.get("prov")
+            data, prov = x.values
             if not isinstance(prov, V.VList):
                 raise EvalError("malformed witness list")
             colors = frozenset(pair_color(p) for p in prov.items)
-            cells.append((d2a(x.get("data")), colors))
+            cells.append((d2a(data), colors))
         return V.VAnnList(tuple(cells))
     if isinstance(v, V.VRecord):
-        return V.VRecord(tuple((l, d2a(x)) for l, x in v.fields))
+        return V.VRecord(v.labels, tuple([d2a(x) for x in v.values]))
     return v
 
 
 def pair_color(p: V.Value) -> V.LineageColor:
     """A witness pair (table, oid) as a lineage color."""
-    if isinstance(p, V.VRecord) and len(p.fields) == 2:
-        t, o = p.get("1"), p.get("2")
+    if isinstance(p, V.VRecord) and p.labels == V.PAIR_LABELS:
+        t, o = p.values
         if isinstance(t, V.VConst) and isinstance(o, V.VConst):
             return V.LineageColor(t.value, o.value)
     raise EvalError("malformed lineage pair")

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .database import Database
 from .errors import EvalError, ProvqlError
-from .interp import eval_big, pair_color
+from .interp import eval_big
 from .lineage_trans import d_translate_program
 from .normalize import NormalQuery, normalize
 from .parser import SourceProgram, parse_program, pretty_print_program
@@ -139,47 +139,49 @@ def comparable(v: V.Value, mode: Mode) -> V.Value:
     `annotated_to_records(v)` (where mode) or `interp.d2a(v)` (lineage
     mode), and the walk raises the same `EvalError`s as those do.
     """
-    return _canonical(v, mode)[0]
+    return _canonical(v, mode, {})[0]
 
 
-def _canonical(v: V.Value, mode: Mode) -> tuple[V.Value, object]:
-    """`comparable`'s walk: the canonical form of `v` and its sort key."""
+def _canonical(v: V.Value, mode: Mode, colors: dict) -> tuple[V.Value, object]:
+    """`comparable`'s walk: the canonical form of `v` and its sort key.
+    `colors` holds the lineage colors the walk has made, one per (table,
+    oid), with their sort keys."""
     t = type(v)
     if t is V.VConst:
         return v, v.value
     if t is V.VRecord:
-        fields = v.fields
+        values = v.values
         keys = []
         changed = None
-        for i, (l, x) in enumerate(fields):
+        for i, x in enumerate(values):
             if type(x) is V.VConst:
                 keys.append(x.value)
                 continue
-            y, k = _canonical(x, mode)
+            y, k = _canonical(x, mode, colors)
             keys.append(k)
             if y is not x:
                 if changed is None:
-                    changed = list(fields)
-                changed[i] = (l, y)
+                    changed = list(values)
+                changed[i] = y
         if changed is not None:
-            v = V.VRecord(tuple(changed))
+            v = V.VRecord(v.labels, tuple(changed))
         return v, tuple(keys)
     if t is V.VList:
         if mode is Mode.LINEAGE:
-            return _sorted_cells(_data_prov_cells(v.items, mode))
-        walked = [_canonical(x, mode) for x in v.items]
+            return _sorted_cells(_data_prov_cells(v.items, mode, colors))
+        walked = [_canonical(x, mode, colors) for x in v.items]
         walked.sort(key=itemgetter(1))
         items = tuple([y for y, _ in walked])
         if any(map(is_not, items, v.items)):
             v = V.VList(items)
         return v, tuple([k for _, k in walked])
     if t is V.VAnnList:
-        return _sorted_cells([_cell(x, cs, mode) for x, cs in v.cells])
+        return _sorted_cells([_cell(x, cs, mode, colors) for x, cs in v.cells])
     if t is V.VAnnot:
-        base, k = _canonical(v.base, mode)
+        base, k = _canonical(v.base, mode, colors)
         key = (k, V.color_sort_key(v.color))
         if mode is Mode.WHERE:
-            return V.VRecord((("!data", base), ("!prov", V.color_value(v.color)))), key
+            return V.VRecord(_ANNOT_LABELS, (base, V.color_value(v.color))), key
         if base is not v.base:
             v = V.VAnnot(base, v.color)
         return v, key
@@ -188,29 +190,43 @@ def _canonical(v: V.Value, mode: Mode) -> tuple[V.Value, object]:
     raise EvalError(f"cannot compare value of kind {t.__name__}")
 
 
-def _data_prov_cells(items, mode: Mode) -> list:
+_ANNOT_LABELS = ("!data", "!prov")
+
+
+def _data_prov_cells(items, mode: Mode, colors: dict) -> list:
     """Lineage cells from a list of data/prov records, read as `interp.d2a`
     reads them."""
     cells = []
     for x in items:
-        if not (
-            type(x) is V.VRecord
-            and len(x.fields) == 2
-            and x.fields[0][0] == "data"
-            and x.fields[1][0] == "prov"
-        ):
+        if type(x) is not V.VRecord or x.labels != V.DATA_PROV_LABELS:
             raise EvalError("value is not in data/prov form")
-        prov = x.fields[1][1]
+        data, prov = x.values
         if type(prov) is not V.VList:
             raise EvalError("malformed witness list")
-        cells.append(_cell(x.fields[0][1], frozenset(map(pair_color, prov.items)), mode))
+        witnesses = dict([_witness(p, colors) for p in prov.items])
+        y, k = _canonical(data, mode, colors)
+        cells.append(((k, tuple(sorted(witnesses))), (y, frozenset(witnesses.values()))))
     return cells
 
 
-def _cell(x: V.Value, colors: frozenset, mode: Mode) -> tuple:
+def _witness(p: V.Value, colors: dict) -> tuple:
+    """The sort key and lineage color of a witness pair, as
+    `interp.pair_color` reads it; both are made once per (table, oid)."""
+    if type(p) is V.VRecord and p.labels == V.PAIR_LABELS:
+        t, o = p.values
+        if type(t) is V.VConst and type(o) is V.VConst:
+            found = colors.get((t.value, o.value))
+            if found is None:
+                c = V.LineageColor(t.value, o.value)
+                found = colors[t.value, o.value] = (V.color_sort_key(c), c)
+            return found
+    raise EvalError("malformed lineage pair")
+
+
+def _cell(x: V.Value, cs: frozenset, mode: Mode, colors: dict) -> tuple:
     """A lineage cell and its key: (value key, sorted color keys)."""
-    y, k = _canonical(x, mode)
-    return (k, tuple(sorted(map(V.color_sort_key, colors)))), (y, colors)
+    y, k = _canonical(x, mode, colors)
+    return (k, tuple(sorted(map(V.color_sort_key, cs)))), (y, cs)
 
 
 def _sorted_cells(keyed: list) -> tuple[V.VAnnList, tuple]:
@@ -224,7 +240,7 @@ def annotated_to_records(v: V.Value) -> V.Value:
             [("!data", annotated_to_records(v.base)), ("!prov", V.color_value(v.color))]
         )
     if isinstance(v, V.VRecord):
-        return V.VRecord(tuple((l, annotated_to_records(x)) for l, x in v.fields))
+        return V.VRecord(v.labels, tuple([annotated_to_records(x) for x in v.values]))
     if isinstance(v, V.VList):
         return V.VList(tuple(annotated_to_records(x) for x in v.items))
     if isinstance(v, V.VAnnList):

@@ -138,9 +138,10 @@ class _Column(dict):
 
 def compile_decoder(shape: Shape, start: int) -> Callable:
     """One generated function decoding a result row whose decoded columns
-    start at ``start``, e.g. ``lambda row: R((("n", c2[row[2]]), ("xs",
-    h4.groups.get(row[:2], EMPTY))))``.  Only labels, through ``repr``, and
-    integers enter its source, so plans with the same shapes share its
+    start at ``start``, e.g. ``lambda row: R(lb3, (c2[row[2]],
+    h5.groups.get(row[:2], EMPTY)))``, where ``lb3`` is the labels tuple
+    ``("n", "xs")`` that every record it decodes shares.  Only integers
+    enter its source, so plans whose shapes have the same columns share its
     compiled code."""
     env: dict = {"R": V.VRecord, "L": V.VList, "EMPTY": V.VList(())}
     source = _decoder_source(shape, env, iter(shape_names(shape)), count(start))
@@ -148,10 +149,10 @@ def compile_decoder(shape: Shape, start: int) -> Callable:
 
 
 def _decoder_source(s: Shape, env: dict, names: Iterator[str], cols: Iterator[int]) -> str:
-    """The decoder expression for ``s``; puts the columns and holes it
-    reads into ``env``.  A module function, not a closure: a recursive
-    closure refers to itself, which would leave every decoder's columns,
-    and the values they interned, for the cycle collector."""
+    """The decoder expression for ``s``; puts the columns, holes and labels
+    tuples it reads into ``env``.  A module function, not a closure: a
+    recursive closure refers to itself, which would leave every decoder's
+    columns, and the values they interned, for the cycle collector."""
     if isinstance(s, LeafShape):
         i = next(cols)
         env[f"c{i}"] = _Column(s.ty, next(names))
@@ -163,8 +164,10 @@ def _decoder_source(s: Shape, env: dict, names: Iterator[str], cols: Iterator[in
         env[h] = s.hole
         return f"{h}.groups.get(row[:{s.hole.key_width}], EMPTY)"
     if isinstance(s, RecordShape):
-        fields = "".join(f"({l!r}, {_decoder_source(x, env, names, cols)}), " for l, x in s.fields)
-        return f"R(({fields}))"
+        lb = f"lb{len(env)}"
+        env[lb] = tuple([l for l, _ in s.fields])
+        values = "".join(f"{_decoder_source(x, env, names, cols)}, " for _, x in s.fields)
+        return f"R({lb}, ({values}))"
     cells = "".join(f"{_decoder_source(x, env, names, cols)}, " for x in s.cells)
     return f"L(({cells}))"
 
@@ -481,6 +484,10 @@ BENCH_INDEXES = [
 
 
 def schema_ddl(db: Database) -> list[str]:
+    return _table_ddl(db) + _index_ddl(db)
+
+
+def _table_ddl(db: Database) -> list[str]:
     stmts = []
     for name in sorted(db.tables):
         td = db.tables[name]
@@ -494,18 +501,22 @@ def schema_ddl(db: Database) -> list[str]:
     stmts.append(
         'CREATE TABLE "_provql_seq" ("table_name" TEXT PRIMARY KEY, "next_oid" INTEGER NOT NULL)'
     )
-    for table, col in BENCH_INDEXES:
-        if table in db.tables:
-            stmts.append(
-                f"CREATE INDEX {qident('idx_' + table + '_' + col)} "
-                f"ON {qident(table)} ({qident(col)})"
-            )
     return stmts
 
 
+def _index_ddl(db: Database) -> list[str]:
+    return [
+        f"CREATE INDEX {qident('idx_' + table + '_' + col)} ON {qident(table)} ({qident(col)})"
+        for table, col in BENCH_INDEXES
+        if table in db.tables
+    ]
+
+
 def load_database(conn, db: Database) -> None:
-    """Create the schema and load an in-memory database snapshot."""
-    for stmt in schema_ddl(db):
+    """Create the schema and load an in-memory database snapshot.  The
+    indexes are built after the rows are in, which is cheaper than
+    maintaining them row by row."""
+    for stmt in _table_ddl(db):
         conn.execute(stmt)
     for name in sorted(db.tables):
         td = db.tables[name]
@@ -522,6 +533,8 @@ def load_database(conn, db: Database) -> None:
         conn.execute(
             'INSERT INTO "_provql_seq" VALUES (?, ?)', (name, td.next_oid)
         )
+    for stmt in _index_ddl(db):
+        conn.execute(stmt)
     conn.commit()
 
 

@@ -9,6 +9,7 @@ values as values, converting to the flattened form on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Union
 
 from .errors import EvalError
@@ -102,28 +103,40 @@ class VConst(Value):
 
 
 class VRecord(Value):
-    """Record value; fields are kept in canonical label order, so record
-    values are label-order independent."""
+    """Record value: ``labels`` holds the labels in canonical order and
+    ``values`` the field values in the same order, so record values are
+    label-order independent.  Records of one shape can share one labels
+    tuple, which makes each record two collector-tracked objects."""
 
-    __slots__ = ("fields",)
+    __slots__ = ("labels", "values")
 
-    def __init__(self, fields: tuple):
-        self.fields = fields
+    def __init__(self, labels: tuple, values: tuple):
+        self.labels = labels
+        self.values = values
+
+    @property
+    def fields(self) -> tuple:
+        """The ``(label, value)`` pairs, in canonical order."""
+        return tuple(zip(self.labels, self.values))
 
     def get(self, label: str) -> Value:
-        for l, v in self.fields:
-            if l == label:
-                return v
-        raise EvalError(f"no field {label!r} in record")
+        try:
+            return self.values[self.labels.index(label)]
+        except ValueError:
+            raise EvalError(f"no field {label!r} in record") from None
 
     def __eq__(self, other):
-        return type(other) is VRecord and self.fields == other.fields
+        return (
+            type(other) is VRecord
+            and self.labels == other.labels
+            and self.values == other.values
+        )
 
     def __hash__(self):
-        return hash((VRecord, self.fields))
+        return hash((VRecord, self.labels, self.values))
 
     def __repr__(self):
-        return f"VRecord({self.fields!r})"
+        return f"VRecord({self.labels!r}, {self.values!r})"
 
 
 class VList(Value):
@@ -222,22 +235,29 @@ class VClosure(Value):
         return id(self)
 
 
-UNIT_VALUE = VRecord(())
+UNIT_VALUE = VRecord((), ())
 TRUE = VConst(True)
 FALSE = VConst(False)
 
 
 def vrecord(entries) -> VRecord:
-    items = list(entries.items()) if isinstance(entries, dict) else list(entries)
-    return VRecord(tuple(sorted(items, key=lambda kv: kv[0])))
+    """A record from ``(label, value)`` pairs or a dict, in any order."""
+    items = sorted(entries.items() if isinstance(entries, dict) else entries, key=itemgetter(0))
+    return VRecord(tuple([l for l, _ in items]), tuple([x for _, x in items]))
+
+
+PAIR_LABELS = ("1", "2")
+TRIPLE_LABELS = ("1", "2", "3")
+# the labels of a lineage cell as a record (`interp.a2d`)
+DATA_PROV_LABELS = ("data", "prov")
 
 
 def vpair(a: Value, b: Value) -> VRecord:
-    return vrecord([("1", a), ("2", b)])
+    return VRecord(PAIR_LABELS, (a, b))
 
 
 def vtriple(a: Value, b: Value, c: Value) -> VRecord:
-    return vrecord([("1", a), ("2", b), ("3", c)])
+    return VRecord(TRIPLE_LABELS, (a, b, c))
 
 
 def color_value(c: Color) -> Value:
@@ -262,7 +282,7 @@ def strip_annotations(v: Value) -> Value:
     if isinstance(v, VList):
         return VList(tuple(strip_annotations(x) for x in v.items))
     if isinstance(v, VRecord):
-        return VRecord(tuple((l, strip_annotations(x)) for l, x in v.fields))
+        return VRecord(v.labels, tuple([strip_annotations(x) for x in v.values]))
     return v
 
 
@@ -276,7 +296,7 @@ def serialize(v: Value):
             return ("i", x)
         return ("s", x)
     if isinstance(v, VRecord):
-        return ("r", tuple((l, serialize(x)) for l, x in v.fields))
+        return ("r", tuple(zip(v.labels, map(serialize, v.values))))
     if isinstance(v, VList):
         return ("l", tuple(serialize(x) for x in v.items))
     if isinstance(v, VAnnList):
@@ -304,7 +324,7 @@ def canonical_order(v: Value) -> Value:
     if isinstance(v, VClosure):
         raise EvalError("closure encountered in canonical_order")
     if isinstance(v, VRecord):
-        return VRecord(tuple((l, canonical_order(x)) for l, x in v.fields))
+        return VRecord(v.labels, tuple([canonical_order(x) for x in v.values]))
     if isinstance(v, VAnnot):
         return VAnnot(canonical_order(v.base), v.color)
     if isinstance(v, VList):
@@ -341,7 +361,7 @@ def to_csv(v: Value) -> str:
                 val = "true" if val else "false"
             row[prefix or "value"] = val
         elif isinstance(x, VRecord):
-            for l, y in x.fields:
+            for l, y in zip(x.labels, x.values):
                 l = _SURFACED_LABELS.get(l, l)
                 flat(y, f"{prefix}_{l}" if prefix else l, row)
         elif isinstance(x, VAnnot):
@@ -378,14 +398,14 @@ def render(v: Value) -> str:
             return '"' + v.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
         return str(v.value)
     if isinstance(v, VRecord):
-        if not v.fields:
+        if not v.labels:
             return "()"
-        labels = [l for l, _ in v.fields]
-        if all(l.isdigit() for l in labels):
-            parts = [render(x) for _, x in sorted(v.fields, key=lambda kv: int(kv[0]))]
+        fields = zip(v.labels, v.values)
+        if all(l.isdigit() for l in v.labels):
+            parts = [render(x) for _, x in sorted(fields, key=lambda kv: int(kv[0]))]
             return "(" + ", ".join(parts) + ")"
         parts = []
-        for l, x in v.fields:
+        for l, x in fields:
             l = _SURFACED_LABELS.get(l, l)
             if not l.isidentifier():
                 l = f'"{l}"'

@@ -39,6 +39,23 @@ def assert_matches_reference(v: V.Value, mode: Mode) -> V.Value:
     return out
 
 
+def assert_colors_interned(v: V.Value) -> None:
+    """Equal lineage colors in ``v`` are one object."""
+    seen: dict = {}
+    todo = [v]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, V.VAnnList):
+            for y, cs in x.cells:
+                for color in cs:
+                    assert seen.setdefault(color, color) is color, color
+                todo.append(y)
+        elif isinstance(x, V.VRecord):
+            todo.extend(y for _, y in x.fields)
+        elif isinstance(x, V.VList):
+            todo.extend(x.items)
+
+
 def c(x) -> V.VConst:
     return V.VConst(x)
 
@@ -57,7 +74,8 @@ def test_suite_programs(query, variant, small_bench_db, small_bench_conn):
     mode = VARIANT_MODES[variant]
     prepared = pipeline.prepare(suite[query][variant], mode)
     assert_matches_reference(pipeline.run_interp(small_bench_db, prepared), mode)
-    assert_matches_reference(pipeline.run_sql(small_bench_conn, prepared), mode)
+    # a witness read from SQL results is one color object per result
+    assert_colors_interned(assert_matches_reference(pipeline.run_sql(small_bench_conn, prepared), mode))
 
 
 @pytest.mark.parametrize("mode", [Mode.PLAIN, Mode.WHERE, Mode.LINEAGE])
@@ -121,6 +139,7 @@ class TestHandBuilt:
         out = assert_matches_reference(v, Mode.LINEAGE)
         colors = frozenset({V.LineageColor("t", 3), V.LineageColor("u", 1)})
         assert out == V.VAnnList(((c(2), colors), (c(2), colors)))
+        assert_colors_interned(out)
 
     def test_sorted_value_is_not_rebuilt(self):
         v = V.VList(

@@ -15,6 +15,11 @@ from provql.normalize import Branch, NormalQuery, SubQuery, TableGen
 from provql.parser import parse_expr, pretty_print_program
 from provql.progen import ProgGen
 from provql.sqlbackend import (
+    BENCH_INDEXES,
+    ListShape,
+    RecordShape,
+    _compile,
+    _run_order,
     apply_update,
     bench_schema_rows,
     generate_benchmark_data,
@@ -327,6 +332,18 @@ class TestGenerator:
         ):
             assert idx in text
 
+    def test_load_creates_every_index(self):
+        # the indexes are built after the rows are loaded; all must exist
+        db = generate_benchmark_data(1, seed=1)
+        with closing(sqlite3.connect(":memory:")) as conn:
+            load_database(conn, db)
+            names = {
+                name
+                for (name,) in conn.execute("SELECT name FROM sqlite_master WHERE type = 'index'")
+            }
+        assert names >= {f"idx_{table}_{col}" for table, col in BENCH_INDEXES}
+        assert len(BENCH_INDEXES) == 6
+
     def test_sql_round_trip(self):
         db = generate_benchmark_data(2, seed=5, employees_per_dept=5)
         conn = sqlite3.connect(":memory:")
@@ -454,6 +471,39 @@ class TestPlanExecutor:
             assert gc.collect() == 0, out
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize(
+        "query,variant",
+        [(q, v) for suite in (suites.WHERE_SUITE, suites.LINEAGE_SUITE) for q in suite for v in suite[q]],
+    )
+    def test_run_tracks_two_objects_per_record(self, query, variant, small_bench_conn):
+        # a record is itself and its values tuple; records of one shape
+        # share their labels tuple
+        suite = suites.WHERE_SUITE if variant in VARIANT_MODES_WHERE else suites.LINEAGE_SUITE
+        nq = pipeline.normalized_query(pipeline.prepare(suite[query][variant], VARIANT_MODES[variant]))
+        explain: list = []
+        ex = pipeline.PlanExecutor(small_bench_conn, explain=explain)
+        ex.run(nq)  # caches the statements and the decoders' code
+        explain.clear()
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            out = ex.run(nq)
+            grown = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        counts = _count_values(out)
+        # besides the values: a labels tuple per record shape, and the
+        # connection's weak reference to each statement's cursor
+        bound = (
+            2 * counts[V.VRecord]
+            + 2 * counts[V.VList]
+            + counts[V.VConst]
+            + _count_record_shapes(nq)
+            + len(explain)
+        )
+        assert counts[V.VList] and grown <= bound, (grown, counts)
 
     @pytest.mark.parametrize(
         "body",
@@ -600,6 +650,40 @@ def _in_order(v: V.Value, mode: Mode) -> V.Value:
     if mode is Mode.LINEAGE:
         return d2a(v)
     return v
+
+
+def _count_values(v: V.Value) -> dict:
+    """Distinct value objects in ``v``, by class."""
+    seen: dict = {}
+    todo = [v]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen[id(x)] = type(x)
+        if isinstance(x, V.VRecord):
+            todo.extend(y for _, y in x.fields)
+        elif isinstance(x, V.VList):
+            todo.extend(x.items)
+    counts = dict.fromkeys([V.VRecord, V.VList, V.VConst], 0)
+    for t in seen.values():
+        counts[t] += 1
+    return counts
+
+
+def _count_record_shapes(nq: NormalQuery) -> int:
+    """Record shapes in the decoders of a plan's statements."""
+    n = 0
+    for _, level in _run_order(_compile(nq, ())):
+        todo = [level.shape]
+        while todo:
+            s = todo.pop()
+            if isinstance(s, RecordShape):
+                n += 1
+                todo.extend(x for _, x in s.fields)
+            elif isinstance(s, ListShape):
+                todo.extend(s.cells)
+    return n
 
 
 def _count_branches(nq: NormalQuery) -> int:

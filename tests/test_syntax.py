@@ -12,6 +12,7 @@ from provql.database import Database
 from provql.errors import EvalError
 from provql.interp import eval_big
 from provql.parser import parse_expr, parse_program
+from provql.sqlbackend import LeafShape, ListShape, RecordShape, compile_decoder
 from provql.typecheck import Mode
 
 
@@ -133,6 +134,91 @@ class TestCanonicalOrder:
         clo = V.VClosure(None, ("x",), S.Var("x"), None)
         with pytest.raises(EvalError):
             V.canonical_order(V.VList((clo,)))
+
+
+_BASE_VALUES = {
+    S.INT: st.integers(-50, 50),
+    S.BOOL: st.booleans(),
+    S.STRING: st.text(alphabet='ab"c', max_size=3),
+}
+_LABELS = st.sampled_from(["b", "a", "10", "2", "!data"])
+# a type is a base type, ("list", item type) or ("record", ((label, type), ...))
+_types = st.recursive(
+    st.sampled_from(list(_BASE_VALUES)),
+    lambda sub: st.one_of(
+        sub.map(lambda t: ("list", t)),
+        st.dictionaries(_LABELS, sub, max_size=3).map(lambda d: ("record", tuple(d.items()))),
+    ),
+    max_leaves=6,
+)
+
+
+def _typed_values(t):
+    """Values of type ``t``: the lists hold one type, as a program's do."""
+    if t in _BASE_VALUES:
+        return _BASE_VALUES[t].map(V.VConst)
+    kind, arg = t
+    if kind == "list":
+        return st.lists(_typed_values(arg), max_size=3).map(lambda xs: V.VList(tuple(xs)))
+    labels = [l for l, _ in arg]
+    return st.tuples(*[_typed_values(x) for _, x in arg]).map(
+        lambda xs: V.vrecord(list(zip(labels, xs)))
+    )
+
+
+_records = st.dictionaries(_LABELS, _types, max_size=3).flatmap(
+    lambda d: _typed_values(("record", tuple(d.items())))
+)
+
+
+def _decoder_input(v: V.Value, row: list):
+    """The result shape of ``v``, with its columns appended to ``row``."""
+    if isinstance(v, V.VConst):
+        ty = {bool: S.BOOL, int: S.INT, str: S.STRING}[type(v.value)]
+        row.append(int(v.value) if ty == S.BOOL else v.value)
+        return LeafShape(ty)
+    if isinstance(v, V.VRecord):
+        return RecordShape([(l, _decoder_input(x, row)) for l, x in v.fields])
+    return ListShape([_decoder_input(x, row) for x in v.items])
+
+
+def _reversed(v: V.Value) -> V.Value:
+    """``v`` with every list reversed, its records rebuilt by `vrecord`."""
+    if isinstance(v, V.VRecord):
+        return V.vrecord([(l, _reversed(x)) for l, x in reversed(v.fields)])
+    if isinstance(v, V.VList):
+        return V.VList(tuple(_reversed(x) for x in reversed(v.items)))
+    return v
+
+
+class TestRecordLayout:
+    @given(_records)
+    @settings(max_examples=200, deadline=None)
+    def test_constructions_agree(self, v):
+        fresh = V.canonical_order(v)  # keeps `vrecord`'s labels tuples
+        row: list = []
+        decode = compile_decoder(_decoder_input(fresh, row), 0)
+        decoded, again = decode(tuple(row)), decode(tuple(row))
+        assert decoded.labels is again.labels
+        walked = pipeline.comparable(_reversed(v), Mode.PLAIN)
+        for other in (decoded, walked):
+            assert other == fresh and fresh == other
+            assert hash(other) == hash(fresh)
+            assert V.serialize(other) == V.serialize(fresh)
+            assert V.render(other) == V.render(fresh)
+            assert other.fields == fresh.fields
+        for r in (fresh, decoded, walked):
+            assert r.fields == tuple(zip(r.labels, r.values))
+            for l, x in r.fields:
+                assert r.get(l) is x
+            with pytest.raises(EvalError):
+                r.get("zz")
+
+    def test_labels_and_values_both_compare(self):
+        a = V.vrecord([("a", V.VConst(1)), ("b", V.VConst(2))])
+        assert a != V.vrecord([("a", V.VConst(1)), ("c", V.VConst(2))])
+        assert a != V.vrecord([("a", V.VConst(1)), ("b", V.VConst(3))])
+        assert a == V.vrecord({"b": V.VConst(2), "a": V.VConst(1)})
 
 
 class TestRows:
