@@ -414,12 +414,6 @@ class BenchRow:
 class BenchReport:
     rows: list[BenchRow] = field(default_factory=list)
 
-    def median(self, query: str, variant: str, size: int) -> Optional[float]:
-        for r in self.rows:
-            if (r.query, r.variant, r.size) == (query, variant, size) and not r.skipped:
-                return r.median_ms
-        return None
-
     def _row(self, query: str, variant: str, size: int) -> Optional[BenchRow]:
         for r in self.rows:
             if (r.query, r.variant, r.size) == (query, variant, size) and not r.skipped:

@@ -12,7 +12,7 @@ back to data/prov records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .errors import EvalError, StuckTermError
 from .database import Database, value_row
@@ -472,15 +472,6 @@ def _bool_of(v: V.Value, op: str, span) -> bool:
 
 # ---------------------------------------------------------------------------
 # Stepping and evaluation
-
-
-def step(state: MachineState) -> Union[MachineState, Done, tuple]:
-    """One reduction; returns Done(value) when the focus is a value.
-
-    For tracing, use step_info which also reports the rule and redex.
-    """
-    out = step_info(state)
-    return out[0] if isinstance(out, tuple) else out
 
 
 def step_info(state: MachineState):

@@ -11,7 +11,8 @@ one SQL statement per query, whatever its nesting depth (see
 `sqlbackend.PlanExecutor`).
 
 `normalize` is the rewrite engine's one entry: queries go through it, and
-so do update and delete statements, as one-generator comprehensions (see
+so do writes: the target of every insert, update and delete, as a
+one-generator comprehension, and the values of an insert (see
 `sqlbackend.apply_update`).  Its input is source syntax, which holds no
 values, so neither does a normal form.
 """

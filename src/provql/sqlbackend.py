@@ -3,8 +3,11 @@ translate writes, and generate the benchmark database.
 
 Every normal query of a typechecked program renders: its results are
 records of base-typed columns, whole rows and conditionals included.
-Updates and deletes render from normal forms too (`apply_update`), so
-`normalize` is the only way into the rewrite engine.
+Writes compile through normal forms too (`apply_update`): each statement
+reaches its table through the normal form of a one-generator comprehension
+over its target, and an insert's values run on the connection as a query,
+literal rows included.  So `normalize` is the only way into the rewrite
+engine, and the backend never calls the interpreter.
 
 The backend is embedded SQLite.  Emitted SQL stays within the common
 dialect subset (SELECT / UNION ALL / scalar operators / EXISTS / ORDER BY),
@@ -50,14 +53,6 @@ class SqlSelect:
         if self.order_by:
             out += " ORDER BY " + ", ".join(self.order_by)
         return out
-
-
-@dataclass
-class SqlQuery:
-    selects: list[SqlSelect]
-
-    def to_sql(self) -> str:
-        return "\nUNION ALL\n".join(s.to_sql() for s in self.selects)
 
 
 def qident(name: str) -> str:
@@ -286,29 +281,7 @@ def leaf_type(e: S.Expr, scopes: dict[str, tuple[str, S.Row]]) -> S.Type:
 
 
 # ---------------------------------------------------------------------------
-# render_sql
-
-
-def render_sql(nq: NormalQuery) -> SqlQuery:
-    """Render a flat normal query to one SELECT per union branch: the
-    statements `PlanExecutor` runs for it, joined by UNION ALL.
-
-    Record results flatten depth-first; static list cells flatten with
-    numbered suffixes.  Raises when a field is not flat.  A union drops the
-    branches' ORDER BY, which a compound SELECT does not allow per branch.
-    """
-    levels = _compile(nq, ()).levels
-    if not levels:
-        raise BackendError("cannot render an empty union")
-    if any(level.holes for level in levels):
-        raise BackendError("non-flat field in SQL rendering")
-    width = len(shape_names(levels[0].shape))
-    if any(len(shape_names(level.shape)) != width for level in levels):
-        raise BackendError("union branches have different shapes")
-    selects = [level.select for level in levels]
-    if len(selects) > 1:
-        selects = [replace(s, order_by=[]) for s in selects]
-    return SqlQuery(selects)
+# Plan rendering
 
 
 def plan_sql(nq: NormalQuery) -> str:
@@ -576,34 +549,29 @@ def _next_oids(conn, table: str, count: int) -> list[int]:
 def apply_update(conn, stmt: S.Expr, schema: dict[str, S.Row]) -> None:
     """Translate one insert/update/delete statement to SQL and run it.
 
-    An insert checks every row before it writes any.  An update or delete
-    is the normal form of the comprehension ``for (x <-- T) where (pred)
-    [(l1 = e1, ...)]``, with a unit result for a delete: its one branch's
-    conditions become the WHERE, its result fields the SET list.
+    An insert runs its values as a query before it writes, as the
+    interpreter evaluates them before it inserts, and checks every row
+    before it writes any.  An update or delete is the normal form of the
+    comprehension ``for (x <-- T) where (pred) [(l1 = e1, ...)]``, with a
+    unit result for a delete: its one branch's conditions become the
+    WHERE, its result fields the SET list.
     """
-    from .interp import eval_big
-    from .typecheck import Mode
-
     if isinstance(stmt, S.Insert):
-        _, t = eval_big(Database(), stmt.table, Mode.PLAIN)
-        if not isinstance(t, V.VTable):
-            raise BackendError("insert target is not a table")
-        _, rows_v = eval_big(Database(), stmt.values, Mode.PLAIN)
-        if not isinstance(rows_v, V.VList):
-            raise BackendError("insert values did not evaluate to a list")
-        cols = [l for l, _ in _schema_row(schema, t.name) if l != OID]
-        rows = [value_row(item) for item in rows_v.items]
+        var = S.fresh_name("x", S.free_vars(stmt.table))
+        g, _ = _target(stmt, var, S.Singleton(S.UNIT_LIT), schema)
+        rows = [value_row(item) for item in PlanExecutor(conn).run(normalize(stmt.values)).items]
+        cols = [l for l, _ in g.row if l != OID]
         for row in rows:
             if OID in row:
                 raise BackendError("attempt to write oid")
             for c in cols:
                 if c not in row:
                     raise BackendError(f"insert row lacks column {c!r}")
-        oids = _next_oids(conn, t.name, len(rows))
+        oids = _next_oids(conn, g.table, len(rows))
         collist = ", ".join(qident(c) for c in cols + [OID])
         qs = ", ".join("?" for _ in range(len(cols) + 1))
         conn.executemany(
-            f"INSERT INTO {qident(t.name)} ({collist}) VALUES ({qs})",
+            f"INSERT INTO {qident(g.table)} ({collist}) VALUES ({qs})",
             [(*(row[c] for c in cols), oid) for row, oid in zip(rows, oids)],
         )
         conn.commit()
@@ -613,17 +581,10 @@ def apply_update(conn, stmt: S.Expr, schema: dict[str, S.Row]) -> None:
     assigns = stmt.assigns if isinstance(stmt, S.Update) else ()
     if any(label == OID for label, _ in assigns):
         raise BackendError("attempt to write oid")
-    body = S.Where(stmt.pred, S.Singleton(S.RecordLit(assigns)))
-    nq = normalize(S.For(stmt.var, stmt.table, body, True))
-    # a target that is not one table leaves no branch, several, or one
-    # whose generator is not the statement's own
-    if len(nq.branches) != 1 or [g.var for g in nq.branches[0].gens] != [stmt.var]:
-        raise BackendError("update target is not a table")
-    (b,) = nq.branches
-    (g,) = b.gens
+    g, b = _target(stmt, stmt.var, S.Where(stmt.pred, S.Singleton(S.RecordLit(assigns))), schema)
     # the target has an alias, so a correlated subquery over the same table
     # cannot capture its columns
-    r, ((_, alias),) = _Renderer().bind([replace(g, row=_schema_row(schema, g.table))])
+    r, ((_, alias),) = _Renderer().bind([g])
     target = f"{qident(g.table)} AS {qident(alias)}"
     try:
         pred = " AND ".join(r.expr(c, True) for c in b.conds)
@@ -649,10 +610,22 @@ def apply_update(conn, stmt: S.Expr, schema: dict[str, S.Row]) -> None:
     conn.commit()
 
 
-def _schema_row(schema: dict[str, S.Row], table: str) -> S.Row:
-    if table not in schema:
-        raise BackendError(f"write to unknown table {table!r}")
-    return schema[table]
+def _target(
+    stmt: S.Expr, var: str, body: S.Expr, schema: dict[str, S.Row]
+) -> tuple[TableGen, Branch]:
+    """The one branch of the normal form of ``for (var <-- target) body``,
+    and its generator, which ranges over the table ``stmt`` writes, with
+    that table's schema row.  Every write reaches its table this way."""
+    nq = normalize(S.For(var, stmt.table, body, True))
+    # a target that is not one table leaves no branch, several, or one
+    # whose generator is not the statement's own
+    if len(nq.branches) != 1 or [g.var for g in nq.branches[0].gens] != [var]:
+        raise BackendError(f"{type(stmt).__name__.lower()} target is not a table")
+    (b,) = nq.branches
+    (g,) = b.gens
+    if g.table not in schema:
+        raise BackendError(f"write to unknown table {g.table!r}")
+    return replace(g, row=schema[g.table]), b
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """SQL rendering, execution, updates, and the data generator."""
 
 import gc
+import re
 import sqlite3
 from contextlib import closing
 
@@ -24,41 +25,33 @@ from provql.sqlbackend import (
     bench_schema_rows,
     generate_benchmark_data,
     load_database,
+    plan_sql,
     read_database,
-    render_sql,
     schema_ddl,
 )
 from provql.typecheck import Mode
 
 
-class TestRenderSql:
+class TestPlanSql:
     def test_where_prov_constants_in_select(self):
         prepared = pipeline.prepare(suites.BOAT_TOURS_WHERE, Mode.WHERE)
-        q = render_sql(pipeline.normalized_query(prepared))
-        text = q.to_sql()
-        assert len(q.selects) == 1
-        assert "'Agencies'" in text and "'phone'" in text
-        assert '"p_phone_1"' in text and '"p_phone_3"' in text
+        text = plan_sql(pipeline.normalized_query(prepared))
         assert text.count("SELECT") == 1
+        select, rest = text.split(" FROM ")
+        from_, _, where = rest.split(" ORDER BY ")[0].partition(" WHERE ")
+        assert len(from_.split(", ")) == 2 and len(where.split(" AND ")) == 2
         # provenance columns are constants plus oid, never computed per row
-        sel = dict((alias, expr) for expr, alias in q.selects[0].select)
-        assert sel["p_phone_1"] == "'Agencies'"
-        assert sel["p_phone_2"] == "'phone'"
-        assert sel["p_phone_3"].endswith('."oid"')
+        cols = {alias: expr for expr, alias in re.findall(r'(\S+) AS "(\w+)"', select)}
+        assert cols["p_phone_1"] == "'Agencies'"
+        assert cols["p_phone_2"] == "'phone'"
+        assert cols["p_phone_3"].endswith('."oid"')
 
     def test_empty_condition_no_where(self):
         prepared = pipeline.prepare(
             suites.TOURS_DECLS + "query { for (a <-- agencies) [(n = a.name)] }",
             Mode.PLAIN,
         )
-        q = render_sql(pipeline.normalized_query(prepared))
-        assert "WHERE" not in q.to_sql()
-
-    def test_union_all_two_branches(self):
-        prepared = pipeline.prepare(suites.LINEAGE_SUITE["QF4"]["nolineage"], Mode.PLAIN)
-        q = render_sql(pipeline.normalized_query(prepared))
-        assert len(q.selects) == 2
-        assert "UNION ALL" in q.to_sql()
+        assert "WHERE" not in plan_sql(pipeline.normalized_query(prepared))
 
     def test_identifiers_quoted_and_strings_escaped(self):
         prepared = pipeline.prepare(
@@ -66,27 +59,16 @@ class TestRenderSql:
             + """query { for (a <-- agencies) where (a.name == "O'Brien") [(n = a.name)] }""",
             Mode.PLAIN,
         )
-        text = render_sql(pipeline.normalized_query(prepared)).to_sql()
+        text = plan_sql(pipeline.normalized_query(prepared))
         assert "'O''Brien'" in text
         assert '"Agencies"' in text
 
-    def test_single_branch_is_the_executed_statement(self, tours_conn):
+    def test_listing_is_the_executed_statements(self, tours_conn):
         prepared = pipeline.prepare(suites.BOAT_TOURS_WHERE, Mode.WHERE)
         nq = pipeline.normalized_query(prepared)
         explain: list = []
         pipeline.PlanExecutor(tours_conn, explain=explain).run(nq)
-        assert explain == [render_sql(nq).to_sql()]
-
-    def test_union_is_valid_sql(self, small_bench_conn):
-        prepared = pipeline.prepare(suites.LINEAGE_SUITE["QF4"]["nolineage"], Mode.PLAIN)
-        q = render_sql(pipeline.normalized_query(prepared))
-        assert "ORDER BY" not in q.to_sql()
-        assert small_bench_conn.execute(q.to_sql()).fetchall()
-
-    def test_non_flat_field_rejected(self):
-        prepared = pipeline.prepare(suites.WHERE_SUITE["Q4"]["noprov"], Mode.PLAIN)
-        with pytest.raises(BackendError, match="non-flat"):
-            render_sql(pipeline.normalized_query(prepared))
+        assert ";\n".join(explain) == plan_sql(nq)
 
 
 class TestExecute:
@@ -296,6 +278,114 @@ class TestUpdates:
         _, conn = self._setup()
         with pytest.raises(BackendError, match="unknown table 'nope'"):
             apply_update(conn, parse_expr(text), bench_schema_rows())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'insert ({t}) values [(employee = "e", task = "a")]',
+            'update (x <-- {t}) where (true) set (task = "a")',
+            "delete (x <-- {t}) where (true)",
+        ],
+        ids=["insert", "update", "delete"],
+    )
+    def test_target_not_one_table_rejected(self, text):
+        db, conn = self._setup()
+        target = f"if (true) {{{self.TASKS}}} else {{{self.TASKS}}}"
+        with closing(conn):
+            with pytest.raises(BackendError, match="target is not a table"):
+                apply_update(conn, parse_expr(text.format(t=target)), bench_schema_rows())
+            assert _state(read_database(conn, bench_schema_rows())) == _state(db)
+
+    def _both(self, stmt: S.Expr, seed: int = 3):
+        """``stmt`` run by each engine on the same data: the data before,
+        the interpreter's and the SQL engine's states after, and the
+        `ProvqlError` each raised, or None."""
+        db = generate_benchmark_data(1, seed, employees_per_dept=4)
+        before, errors = db.copy(), []
+        with closing(sqlite3.connect(":memory:")) as conn:
+            load_database(conn, db)
+            runs = (
+                lambda: eval_big(db, stmt, Mode.PLAIN),
+                lambda: apply_update(conn, stmt, bench_schema_rows()),
+            )
+            for run in runs:
+                try:
+                    run()
+                    errors.append(None)
+                except ProvqlError as exc:
+                    errors.append(exc)
+            sdb = read_database(conn, bench_schema_rows())
+        return before, db, sdb, *errors
+
+    def test_insert_values_read_the_target(self):
+        # the values read the table they are inserted into, before the write
+        stmt = parse_expr(
+            f"insert ({self.TASKS}) values (for (t <-- {self.TASKS})"
+            ' [(employee = t.employee, task = "copy")])'
+        )
+        before, idb, sdb, ierr, serr = self._both(stmt)
+        assert ierr is None and serr is None
+        assert len(idb.get("tasks").rows) == 2 * len(before.get("tasks").rows) > 0
+        assert _state(sdb) == _state(idb)
+
+    EMPLOYEES = (
+        'table "employees" with (oid: Int, dept: String, name: String, salary: Int)'
+        " where oid readonly"
+    )
+
+    @pytest.mark.parametrize(
+        "value", ["mod(1, 0)", "9223372036854775807 + 1"], ids=["zero-divisor", "overflow"]
+    )
+    def test_bad_insert_value_writes_nothing(self, value):
+        stmt = parse_expr(
+            f'insert ({self.EMPLOYEES}) values [(dept = "d", name = "ok", salary = 1),'
+            f' (dept = "d", name = "bad", salary = {value})]'
+        )
+        before, idb, sdb, ierr, serr = self._both(stmt)
+        assert isinstance(ierr, ProvqlError) and isinstance(serr, BackendError)
+        assert _state(idb) == _state(sdb) == _state(before)
+
+    def test_inserted_quotes_round_trip(self):
+        stmt = parse_expr(
+            f'insert ({self.TASKS}) values [(employee = "O\'Brien", task = "say \\"hi\\"")]'
+        )
+        _, idb, sdb, ierr, serr = self._both(stmt)
+        assert ierr is None and serr is None
+        assert _state(sdb) == _state(idb)
+        new = max(sdb.get("tasks").rows, key=lambda r: r["oid"])
+        assert (new["employee"], new["task"]) == ("O'Brien", 'say "hi"')
+
+    def test_generated_query_inserts_match_interpreter(self):
+        wrote = 0
+        for seed in range(50):
+            stmt = _query_insert(seed)
+            before, idb, sdb, ierr, serr = self._both(stmt, seed)
+            assert (ierr is None) == (serr is None), (seed, ierr, serr)
+            assert _state(sdb) == _state(idb), seed
+            wrote += _state(idb) != _state(before)
+        assert wrote >= 25
+
+
+def _state(db) -> dict:
+    """Every benchmark table's rows, by oid, and its next oid."""
+    return {
+        name: (sorted(db.get(name).rows, key=lambda r: r["oid"]), db.get(name).next_oid)
+        for name in bench_schema_rows()
+    }
+
+
+def _query_insert(seed: int) -> S.Expr:
+    """A generated ``insert (T) values (for (y <-- U) where (p) [(...)])``
+    over the benchmark schema, T and U possibly the same table: each of T's
+    columns, and p, are generated expressions over U's row."""
+    gen = ProgGen(seed)
+    schema = bench_schema_rows()
+    t, u = gen.rng.choice(sorted(schema)), gen.rng.choice(sorted(schema))
+    env = {"y": S.RecordType(schema[u])}
+    fields = [(label, gen.base_expr(env, ty, 2)) for label, ty in schema[t] if label != "oid"]
+    body = S.Where(gen.bool_expr(env, 2), S.Singleton(S.record_lit(fields)))
+    source = S.For("y", S.TableRef(u, schema[u], oid_implicit=False), body, True)
+    return S.Insert(S.TableRef(t, schema[t], oid_implicit=False), source)
 
 
 class TestGenerator:
