@@ -81,8 +81,8 @@ def cmd_run(args) -> int:
         if key in result.outputs:
             _out(args, f"-- {key} --\n{result.outputs[key]}")
     if "explain" in result.outputs:
-        for stmt in result.outputs["explain"]:
-            _out(args, f"-- plan --\n{stmt}")
+        for stmt, n in zip(result.outputs["explain"], result.outputs["explain_rows"]):
+            _out(args, f"-- plan ({n} row{'' if n == 1 else 's'}) --\n{stmt}")
     if result.value is not None:
         if args.csv:
             _out(args, V.to_csv(result.value))

@@ -6,7 +6,6 @@ the interpreter, as the annotated store used during where/lineage runs.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .errors import EvalError
@@ -46,7 +45,7 @@ class Database:
         other = Database()
         for name, td in self.tables.items():
             other.tables[name] = TableData(
-                td.schema, copy.deepcopy(td.rows), td.next_oid,
+                td.schema, [dict(r) for r in td.rows], td.next_oid,
                 None if td.visible is None else set(td.visible),
             )
         return other

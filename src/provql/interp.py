@@ -644,97 +644,113 @@ class _BigStep:
         self.db = db
 
     def run(self, e: S.Expr, env: Env, mode: Mode) -> V.Value:
-        r = self.run
-        if isinstance(e, S.Const):
-            return V.VConst(e.value)
-        if isinstance(e, S.ValueLit):
-            return e.value
-        if isinstance(e, S.Var):
-            return env.lookup(e.name)
-        if isinstance(e, S.Fun):
-            return V.VClosure(e.fname, e.params, e.body, env)
-        if isinstance(e, S.TableRef):
-            spec = self._close_spec(e.spec, env)
-            return V.VTable(e.name, e.row, spec)
-        if isinstance(e, S.DatabaseRef):
-            return V.UNIT_VALUE
-        if isinstance(e, S.RecordLit):
-            return V.vrecord([(l, r(x, env, mode)) for l, x in e.fields_])
-        if isinstance(e, S.Project):
-            v = r(e.expr, env, mode)
-            if not isinstance(v, V.VRecord):
-                raise EvalError("projection from non-record", e.span)
-            return v.get(e.label)
-        if isinstance(e, S.App):
-            fv = r(e.fn, env, mode)
-            args = [r(a, env, mode) for a in e.args]
-            return self._apply(fv, args, mode, e.span)
-        if isinstance(e, S.Prim):
-            return delta(e.op, [r(a, env, mode) for a in e.args], e.span)
-        if isinstance(e, S.Let):
-            return r(e.body, env.bind(e.name, r(e.value, env, mode)), mode)
-        if isinstance(e, S.If):
-            c = r(e.cond, env, mode)
-            if c == V.TRUE:
-                return r(e.then, env, mode)
-            if c == V.FALSE:
-                return r(e.els, env, mode)
-            raise EvalError("non-boolean condition", e.span)
-        if isinstance(e, S.Where):
-            c = r(e.cond, env, mode)
-            if c == V.TRUE:
-                return r(e.body, env, mode)
-            return V.VAnnList(()) if mode is Mode.LINEAGE else V.VList(())
-        if isinstance(e, S.Query):
-            return r(e.body, env, mode)
-        if isinstance(e, S.LineageBlock):
-            if mode is Mode.LINEAGE:
-                return r(e.body, env, mode)
-            if mode is Mode.WHERE:
-                raise EvalError("lineage block in where-provenance mode", e.span)
-            lenv = env.map_values(annotate)
-            return a2d(r(e.body, lenv, Mode.LINEAGE))
-        if isinstance(e, S.EmptyList):
-            return V.VAnnList(()) if mode is Mode.LINEAGE else V.VList(())
-        if isinstance(e, S.Singleton):
-            item = r(e.item, env, mode)
-            if mode is Mode.LINEAGE:
-                return V.VAnnList(((item, frozenset()),))
-            return V.VList((item,))
-        if isinstance(e, S.Concat):
-            return concat_values(r(e.left, env, mode), r(e.right, env, mode))
-        if isinstance(e, S.IsEmpty):
-            if mode is Mode.LINEAGE:
-                raise EvalError("empty() inside a lineage block", e.span)
-            v = r(e.coll, env, mode)
-            return V.VConst(len(_as_cells(v)) == 0)
-        if isinstance(e, S.For):
-            return self._comprehend(e, env, mode)
-        if isinstance(e, S.Data):
-            v = r(e.expr, env, mode)
-            if not isinstance(v, V.VAnnot):
-                raise EvalError("data applied to unannotated value", e.span)
-            return v.base
-        if isinstance(e, S.ProvOf):
-            v = r(e.expr, env, mode)
-            if not isinstance(v, V.VAnnot):
-                raise EvalError("prov applied to unannotated value", e.span)
-            return V.color_value(v.color)
-        if isinstance(e, S.UnionAnnot):
-            v = r(e.expr, env, mode)
-            cells = _as_cells(v)
-            return V.VAnnList(tuple((x, cs | e.colors) for x, cs in cells))
-        if isinstance(e, S.Insert):
-            t = r(e.table, env, mode)
-            rows = r(e.values, env, mode)
-            items = rows.items if isinstance(rows, V.VList) else [c[0] for c in _as_cells(rows)]
-            self.db.insert_rows(t.name, [value_row(x) for x in items])
-            return V.UNIT_VALUE
-        if isinstance(e, S.Update):
-            return self._update(e, env, mode)
-        if isinstance(e, S.Delete):
-            return self._delete(e, env, mode)
-        raise EvalError(f"cannot evaluate {type(e).__name__}", e.span)
+        # one lookup on the node's class instead of a chain of isinstance
+        # tests; syntax node classes have no subclasses
+        handler = _BIG_STEP_RULES.get(type(e))
+        if handler is None:
+            raise EvalError(f"cannot evaluate {type(e).__name__}", e.span)
+        return handler(self, e, env, mode)
+
+    def _const(self, e: S.Const, env: Env, mode: Mode) -> V.Value:
+        return V.VConst(e.value)
+
+    def _value_lit(self, e: S.ValueLit, env: Env, mode: Mode) -> V.Value:
+        return e.value
+
+    def _var(self, e: S.Var, env: Env, mode: Mode) -> V.Value:
+        return env.lookup(e.name)
+
+    def _fun(self, e: S.Fun, env: Env, mode: Mode) -> V.Value:
+        return V.VClosure(e.fname, e.params, e.body, env)
+
+    def _table_ref(self, e: S.TableRef, env: Env, mode: Mode) -> V.Value:
+        return V.VTable(e.name, e.row, self._close_spec(e.spec, env))
+
+    def _database_ref(self, e: S.DatabaseRef, env: Env, mode: Mode) -> V.Value:
+        return V.UNIT_VALUE
+
+    def _record_lit(self, e: S.RecordLit, env: Env, mode: Mode) -> V.Value:
+        return V.vrecord([(l, self.run(x, env, mode)) for l, x in e.fields_])
+
+    def _project(self, e: S.Project, env: Env, mode: Mode) -> V.Value:
+        v = self.run(e.expr, env, mode)
+        if not isinstance(v, V.VRecord):
+            raise EvalError("projection from non-record", e.span)
+        return v.get(e.label)
+
+    def _app(self, e: S.App, env: Env, mode: Mode) -> V.Value:
+        fv = self.run(e.fn, env, mode)
+        args = [self.run(a, env, mode) for a in e.args]
+        return self._apply(fv, args, mode, e.span)
+
+    def _prim(self, e: S.Prim, env: Env, mode: Mode) -> V.Value:
+        return delta(e.op, [self.run(a, env, mode) for a in e.args], e.span)
+
+    def _let(self, e: S.Let, env: Env, mode: Mode) -> V.Value:
+        return self.run(e.body, env.bind(e.name, self.run(e.value, env, mode)), mode)
+
+    def _if(self, e: S.If, env: Env, mode: Mode) -> V.Value:
+        c = self.run(e.cond, env, mode)
+        if c == V.TRUE:
+            return self.run(e.then, env, mode)
+        if c == V.FALSE:
+            return self.run(e.els, env, mode)
+        raise EvalError("non-boolean condition", e.span)
+
+    def _where(self, e: S.Where, env: Env, mode: Mode) -> V.Value:
+        if self.run(e.cond, env, mode) == V.TRUE:
+            return self.run(e.body, env, mode)
+        return V.VAnnList(()) if mode is Mode.LINEAGE else V.VList(())
+
+    def _query(self, e: S.Query, env: Env, mode: Mode) -> V.Value:
+        return self.run(e.body, env, mode)
+
+    def _lineage_block(self, e: S.LineageBlock, env: Env, mode: Mode) -> V.Value:
+        if mode is Mode.LINEAGE:
+            return self.run(e.body, env, mode)
+        if mode is Mode.WHERE:
+            raise EvalError("lineage block in where-provenance mode", e.span)
+        return a2d(self.run(e.body, env.map_values(annotate), Mode.LINEAGE))
+
+    def _empty_list(self, e: S.EmptyList, env: Env, mode: Mode) -> V.Value:
+        return V.VAnnList(()) if mode is Mode.LINEAGE else V.VList(())
+
+    def _singleton(self, e: S.Singleton, env: Env, mode: Mode) -> V.Value:
+        item = self.run(e.item, env, mode)
+        if mode is Mode.LINEAGE:
+            return V.VAnnList(((item, frozenset()),))
+        return V.VList((item,))
+
+    def _concat(self, e: S.Concat, env: Env, mode: Mode) -> V.Value:
+        return concat_values(self.run(e.left, env, mode), self.run(e.right, env, mode))
+
+    def _is_empty(self, e: S.IsEmpty, env: Env, mode: Mode) -> V.Value:
+        if mode is Mode.LINEAGE:
+            raise EvalError("empty() inside a lineage block", e.span)
+        return V.VConst(len(_as_cells(self.run(e.coll, env, mode))) == 0)
+
+    def _data(self, e: S.Data, env: Env, mode: Mode) -> V.Value:
+        v = self.run(e.expr, env, mode)
+        if not isinstance(v, V.VAnnot):
+            raise EvalError("data applied to unannotated value", e.span)
+        return v.base
+
+    def _prov_of(self, e: S.ProvOf, env: Env, mode: Mode) -> V.Value:
+        v = self.run(e.expr, env, mode)
+        if not isinstance(v, V.VAnnot):
+            raise EvalError("prov applied to unannotated value", e.span)
+        return V.color_value(v.color)
+
+    def _union_annot(self, e: S.UnionAnnot, env: Env, mode: Mode) -> V.Value:
+        cells = _as_cells(self.run(e.expr, env, mode))
+        return V.VAnnList(tuple((x, cs | e.colors) for x, cs in cells))
+
+    def _insert(self, e: S.Insert, env: Env, mode: Mode) -> V.Value:
+        t = self.run(e.table, env, mode)
+        rows = self.run(e.values, env, mode)
+        items = rows.items if isinstance(rows, V.VList) else [c[0] for c in _as_cells(rows)]
+        self.db.insert_rows(t.name, [value_row(x) for x in items])
+        return V.UNIT_VALUE
 
     def _apply(self, fv: V.Value, args: list[V.Value], mode: Mode, span) -> V.Value:
         if not isinstance(fv, V.VClosure):
@@ -837,3 +853,33 @@ class _BigStep:
                 raise EvalError("delete predicate returned a non-boolean", e.span)
         td.rows = keep
         return V.UNIT_VALUE
+
+
+_BIG_STEP_RULES = {
+    S.Const: _BigStep._const,
+    S.ValueLit: _BigStep._value_lit,
+    S.Var: _BigStep._var,
+    S.Fun: _BigStep._fun,
+    S.TableRef: _BigStep._table_ref,
+    S.DatabaseRef: _BigStep._database_ref,
+    S.RecordLit: _BigStep._record_lit,
+    S.Project: _BigStep._project,
+    S.App: _BigStep._app,
+    S.Prim: _BigStep._prim,
+    S.Let: _BigStep._let,
+    S.If: _BigStep._if,
+    S.Where: _BigStep._where,
+    S.Query: _BigStep._query,
+    S.LineageBlock: _BigStep._lineage_block,
+    S.EmptyList: _BigStep._empty_list,
+    S.Singleton: _BigStep._singleton,
+    S.Concat: _BigStep._concat,
+    S.IsEmpty: _BigStep._is_empty,
+    S.For: _BigStep._comprehend,
+    S.Data: _BigStep._data,
+    S.ProvOf: _BigStep._prov_of,
+    S.UnionAnnot: _BigStep._union_annot,
+    S.Insert: _BigStep._insert,
+    S.Update: _BigStep._update,
+    S.Delete: _BigStep._delete,
+}

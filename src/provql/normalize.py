@@ -60,6 +60,10 @@ class Branch:
 @dataclass
 class NormalQuery:
     branches: list[Branch]
+    # the SQL backend's compiled plan, made on its first run and kept for
+    # the next (see `sqlbackend.PlanExecutor`); a normal query is not
+    # changed once it is made
+    plan: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     def is_static_list(self) -> bool:
         """No generators or conditions: a literal list of fixed length."""

@@ -137,15 +137,18 @@ def comparable(v: V.Value, mode: Mode) -> V.Value:
     must be the result of a well-typed program, whose lists each hold one
     type.  On such values the result equals `V.canonical_order` of
     `annotated_to_records(v)` (where mode) or `interp.d2a(v)` (lineage
-    mode), and the walk raises the same `EvalError`s as those do.
+    mode), and the walk raises the same `EvalError`s as those do.  A list
+    object that sits under several records (the SQL engine shares one list
+    among outer rows with the same key) is walked once.
     """
     return _canonical(v, mode, {})[0]
 
 
-def _canonical(v: V.Value, mode: Mode, colors: dict) -> tuple[V.Value, object]:
+def _canonical(v: V.Value, mode: Mode, memo: dict) -> tuple[V.Value, object]:
     """`comparable`'s walk: the canonical form of `v` and its sort key.
-    `colors` holds the lineage colors the walk has made, one per (table,
-    oid), with their sort keys."""
+    `memo` holds, for one call, the lineage colors the walk has made, one
+    per (table, oid), with their sort keys, and under its `id` the result
+    for each list it has walked."""
     t = type(v)
     if t is V.VConst:
         return v, v.value
@@ -157,7 +160,7 @@ def _canonical(v: V.Value, mode: Mode, colors: dict) -> tuple[V.Value, object]:
             if type(x) is V.VConst:
                 keys.append(x.value)
                 continue
-            y, k = _canonical(x, mode, colors)
+            y, k = _canonical(x, mode, memo)
             keys.append(k)
             if y is not x:
                 if changed is None:
@@ -167,18 +170,15 @@ def _canonical(v: V.Value, mode: Mode, colors: dict) -> tuple[V.Value, object]:
             v = V.VRecord(v.labels, tuple(changed))
         return v, tuple(keys)
     if t is V.VList:
-        if mode is Mode.LINEAGE:
-            return _sorted_cells(_data_prov_cells(v.items, mode, colors))
-        walked = [_canonical(x, mode, colors) for x in v.items]
-        walked.sort(key=itemgetter(1))
-        items = tuple([y for y, _ in walked])
-        if any(map(is_not, items, v.items)):
-            v = V.VList(items)
-        return v, tuple([k for _, k in walked])
+        # the walk's input is live for the whole call, so ids are stable
+        done = memo.get(id(v))
+        if done is None:
+            done = memo[id(v)] = _canonical_list(v, mode, memo)
+        return done
     if t is V.VAnnList:
-        return _sorted_cells([_cell(x, cs, mode, colors) for x, cs in v.cells])
+        return _sorted_cells([_cell(x, cs, mode, memo) for x, cs in v.cells])
     if t is V.VAnnot:
-        base, k = _canonical(v.base, mode, colors)
+        base, k = _canonical(v.base, mode, memo)
         key = (k, V.color_sort_key(v.color))
         if mode is Mode.WHERE:
             return V.VRecord(_ANNOT_LABELS, (base, V.color_value(v.color))), key
@@ -190,10 +190,21 @@ def _canonical(v: V.Value, mode: Mode, colors: dict) -> tuple[V.Value, object]:
     raise EvalError(f"cannot compare value of kind {t.__name__}")
 
 
+def _canonical_list(v: V.VList, mode: Mode, memo: dict) -> tuple[V.Value, object]:
+    if mode is Mode.LINEAGE:
+        return _sorted_cells(_data_prov_cells(v.items, mode, memo))
+    walked = [_canonical(x, mode, memo) for x in v.items]
+    walked.sort(key=itemgetter(1))
+    items = tuple([y for y, _ in walked])
+    if any(map(is_not, items, v.items)):
+        v = V.VList(items)
+    return v, tuple([k for _, k in walked])
+
+
 _ANNOT_LABELS = ("!data", "!prov")
 
 
-def _data_prov_cells(items, mode: Mode, colors: dict) -> list:
+def _data_prov_cells(items, mode: Mode, memo: dict) -> list:
     """Lineage cells from a list of data/prov records, read as `interp.d2a`
     reads them."""
     cells = []
@@ -203,29 +214,29 @@ def _data_prov_cells(items, mode: Mode, colors: dict) -> list:
         data, prov = x.values
         if type(prov) is not V.VList:
             raise EvalError("malformed witness list")
-        witnesses = dict([_witness(p, colors) for p in prov.items])
-        y, k = _canonical(data, mode, colors)
+        witnesses = dict([_witness(p, memo) for p in prov.items])
+        y, k = _canonical(data, mode, memo)
         cells.append(((k, tuple(sorted(witnesses))), (y, frozenset(witnesses.values()))))
     return cells
 
 
-def _witness(p: V.Value, colors: dict) -> tuple:
+def _witness(p: V.Value, memo: dict) -> tuple:
     """The sort key and lineage color of a witness pair, as
     `interp.pair_color` reads it; both are made once per (table, oid)."""
     if type(p) is V.VRecord and p.labels == V.PAIR_LABELS:
         t, o = p.values
         if type(t) is V.VConst and type(o) is V.VConst:
-            found = colors.get((t.value, o.value))
+            found = memo.get((t.value, o.value))
             if found is None:
                 c = V.LineageColor(t.value, o.value)
-                found = colors[t.value, o.value] = (V.color_sort_key(c), c)
+                found = memo[t.value, o.value] = (V.color_sort_key(c), c)
             return found
     raise EvalError("malformed lineage pair")
 
 
-def _cell(x: V.Value, cs: frozenset, mode: Mode, colors: dict) -> tuple:
+def _cell(x: V.Value, cs: frozenset, mode: Mode, memo: dict) -> tuple:
     """A lineage cell and its key: (value key, sorted color keys)."""
-    y, k = _canonical(x, mode, colors)
+    y, k = _canonical(x, mode, memo)
     return (k, tuple(sorted(map(V.color_sort_key, cs)))), (y, cs)
 
 
@@ -298,10 +309,11 @@ def run(
                     raise ProvqlError("interpreter engine needs a database")
                 vi = run_interp(db, prepared)
             if cfg.engine in ("sql", "both"):
-                explain: Optional[list] = [] if cfg.explain else None
-                vs = PlanExecutor(conn, explain=explain).run(nq)
-                if cfg.explain and explain is not None:
-                    result.outputs["explain"] = explain
+                ex = PlanExecutor(conn, explain=[] if cfg.explain else None)
+                vs = ex.run(nq)
+                if cfg.explain:
+                    result.outputs["explain"] = ex.explain
+                    result.outputs["explain_rows"] = ex.row_counts
             result.timings_ms.append((time.perf_counter() - t0) * 1000.0)
         if cfg.engine == "both":
             a = comparable(vi, cfg.mode)

@@ -22,7 +22,9 @@ import sqlite3
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import count, groupby
+from operator import itemgetter
 from random import Random
+from types import CodeType
 from typing import Callable, Iterator, Optional, Union
 
 from .database import Database, OID, value_row
@@ -86,10 +88,11 @@ class ListShape:
 
 @dataclass
 class HoleShape:
-    """A nested list, zero columns wide, filled from a child level (see
+    """A nested list, zero columns wide: one list from each of its levels,
+    one level per union branch, concatenated in branch order (see
     `PlanExecutor`)."""
 
-    hole: "_Hole"
+    levels: list["_Level"]
 
 
 Shape = Union[LeafShape, RecordShape, ListShape, HoleShape]
@@ -131,39 +134,73 @@ class _Column(dict):
         return v
 
 
-def compile_decoder(shape: Shape, start: int) -> Callable:
-    """One generated function decoding a result row whose decoded columns
-    start at ``start``, e.g. ``lambda row: R(lb3, (c2[row[2]],
-    h5.groups.get(row[:2], EMPTY)))``, where ``lb3`` is the labels tuple
-    ``("n", "xs")`` that every record it decodes shares.  Only integers
-    enter its source, so plans whose shapes have the same columns share its
-    compiled code."""
-    env: dict = {"R": V.VRecord, "L": V.VList, "EMPTY": V.VList(())}
-    source = _decoder_source(shape, env, iter(shape_names(shape)), count(start))
-    return eval(_compiled(f"lambda row: {source}"), env)
+_EMPTY = V.VList(())
 
 
-def _decoder_source(s: Shape, env: dict, names: Iterator[str], cols: Iterator[int]) -> str:
-    """The decoder expression for ``s``; puts the columns, holes and labels
-    tuples it reads into ``env``.  A module function, not a closure: a
+@dataclass(frozen=True, eq=False)
+class _Decoder:
+    """A generated decoding function's compiled code and what its
+    environment holds: the labels tuples that the records it decodes share,
+    a `_Column` per leaf and, per level of a hole, that level's lists.
+    Columns and lists belong to one run, so `bind` makes them."""
+
+    code: CodeType
+    labels: dict[str, tuple]
+    columns: tuple[tuple[str, S.Type, str], ...]  # (env name, type, column name)
+    levels: tuple[tuple[str, "_Level"], ...]  # (env name, level)
+
+    def bind(self, groups: dict) -> Callable:
+        """The function for one run: fresh interned columns, and each hole
+        level's lists (key -> `VList`), taken out of ``groups``."""
+        env = {"R": V.VRecord, "L": V.VList, "EMPTY": _EMPTY, **self.labels}
+        for name, ty, col in self.columns:
+            env[name] = _Column(ty, col)
+        for name, level in self.levels:
+            env[name] = groups.pop(level)
+        return eval(self.code, env)
+
+
+def compile_decoder(shape: Shape, start: int, lookups: Optional[dict] = None) -> _Decoder:
+    """The decoder of a result row whose decoded columns start at ``start``,
+    e.g. ``lambda row: R(lb0, (c2[row[2]], h1.get((row[1],), EMPTY)))``,
+    where ``lb0`` is the labels tuple ``("n", "xs")`` and ``h1`` the lists of
+    a hole's level, looked up by the columns ``lookups[level]`` of the row.
+    Only integers enter its source, so plans whose shapes have the same
+    columns share its compiled code."""
+    parts: tuple[dict, list, list] = ({}, [], [])
+    source = _decoder_source(shape, parts, lookups or {}, iter(shape_names(shape)), count(start))
+    labels, columns, levels = parts
+    return _Decoder(_compiled(f"lambda row: {source}"), labels, tuple(columns), tuple(levels))
+
+
+def _decoder_source(s: Shape, parts: tuple, lookups: dict, names: Iterator[str], cols: Iterator[int]) -> str:
+    """The decoder expression for ``s``; adds the labels tuples, columns and
+    levels it reads to ``parts``.  A module function, not a closure: a
     recursive closure refers to itself, which would leave every decoder's
     columns, and the values they interned, for the cycle collector."""
+    labels, columns, levels = parts
     if isinstance(s, LeafShape):
         i = next(cols)
-        env[f"c{i}"] = _Column(s.ty, next(names))
+        columns.append((f"c{i}", s.ty, next(names)))
         return f"c{i}[row[{i}]]"
     if isinstance(s, HoleShape):
-        # the row's own key is its leading columns: the rowids of every
-        # generator in scope
-        h = f"h{len(env)}"
-        env[h] = s.hole
-        return f"{h}.groups.get(row[:{s.hole.key_width}], EMPTY)"
+        # each level's list is found under its own key, projected from this
+        # row's leading columns; a hole concatenates them in branch order
+        lists = []
+        for level in s.levels:
+            h = f"h{len(labels) + len(levels)}"
+            levels.append((h, level))
+            key = "".join(f"row[{i}], " for i in lookups[level])
+            lists.append(f"{h}.get(({key}), EMPTY)")
+        if len(lists) == 1:
+            return lists[0]
+        return "L(" + " + ".join(f"{x}.items" for x in lists) + ")"
     if isinstance(s, RecordShape):
-        lb = f"lb{len(env)}"
-        env[lb] = tuple([l for l, _ in s.fields])
-        values = "".join(f"{_decoder_source(x, env, names, cols)}, " for _, x in s.fields)
+        lb = f"lb{len(labels) + len(levels)}"
+        labels[lb] = tuple([l for l, _ in s.fields])
+        values = "".join(f"{_decoder_source(x, parts, lookups, names, cols)}, " for _, x in s.fields)
         return f"R({lb}, ({values}))"
-    cells = "".join(f"{_decoder_source(x, env, names, cols)}, " for x in s.cells)
+    cells = "".join(f"{_decoder_source(x, parts, lookups, names, cols)}, " for x in s.cells)
     return f"L(({cells}))"
 
 
@@ -183,11 +220,13 @@ class _NotRenderable(Exception):
 class _Renderer:
     """Renders normal-form expressions against generator aliases."""
 
-    def __init__(self, scopes: Optional[dict[str, tuple[str, S.Row]]] = None, aliases=None):
+    def __init__(self, scopes: Optional[dict[str, tuple[str, S.Row]]] = None, aliases=None, used=None):
         self.scopes = scopes or {}  # var -> (sql alias, row type)
         # numbers every FROM entry of a statement, subqueries' included, so
         # no two entries share an alias even where a variable is shadowed
         self.aliases = aliases if aliases is not None else count()
+        # the aliases whose columns the statement's renderers have read
+        self.used: set[str] = used if used is not None else set()
 
     def bind(self, gens: list[TableGen]) -> tuple["_Renderer", list[tuple[str, str]]]:
         """A renderer whose scopes add ``gens`` under fresh aliases, and
@@ -198,7 +237,7 @@ class _Renderer:
             alias = f"t{next(self.aliases)}"
             scopes[g.var] = (alias, g.row)
             from_.append((g.table, alias))
-        return _Renderer(scopes, self.aliases), from_
+        return _Renderer(scopes, self.aliases, self.used), from_
 
     def expr(self, e: S.Expr, boolean: bool = False) -> str:
         if isinstance(e, S.Const):
@@ -211,6 +250,7 @@ class _Renderer:
             ty = S.row_get(row, e.label)
             if ty is None:
                 raise _NotRenderable()
+            self.used.add(alias)
             col = f"{qident(alias)}.{qident(e.label)}"
             if boolean and ty == S.BOOL:
                 return f"{col} <> 0"
@@ -287,7 +327,7 @@ def leaf_type(e: S.Expr, scopes: dict[str, tuple[str, S.Row]]) -> S.Type:
 def plan_sql(nq: NormalQuery) -> str:
     """The statements `PlanExecutor` runs for ``nq``, in the order it runs
     them, separated by ``;`` and a newline; nothing is run."""
-    return ";\n".join(level.select.to_sql() for _, level in _run_order(_compile(nq, ())))
+    return ";\n".join(level.sql for level in _plan(nq).order)
 
 
 def _flatten_result(
@@ -331,49 +371,72 @@ def _flatten_result(
 # Execution
 
 
-@dataclass
-class _Hole:
-    """The lists a (sub)query yields, one per combination of the enclosing
-    generators' rows, keyed by their rowids (``key_width`` of them)."""
-
-    levels: list["_Level"]  # one per union branch
-    key_width: int
-    # during a run: key -> items while its levels run, then key -> VList
-    groups: dict = field(default_factory=dict)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class _Level:
-    """A plan branch's one SQL statement.
+    """A plan branch's one SQL statement, compiled: its text and decoder.
 
-    Its FROM list holds the generators of every enclosing branch and its
-    own, outermost first; its WHERE list their conditions; it is ordered by
-    their rowids.  Each row starts with the enclosing generators' rowids
-    (the group key), then its own generators' rowids when it has holes to
-    look up; ``decode(row)`` reads the rest.
+    It is keyed by the rowids of the enclosing generators that its subtree
+    (its conditions, its result, its ``empty(...)`` subqueries and its own
+    holes) reads, so enclosing rows that agree on them share one list.  Its
+    FROM list holds those generators and its own, outermost first; its
+    WHERE list their conditions, and the enclosing conditions that read
+    only those generators, plus one correlated ``EXISTS`` over the other
+    enclosing generators and their conditions; it is ordered by the rowids
+    of its FROM list.  Each row starts with the key, then its own
+    generators' rowids when it has holes to look up; the decoder reads the
+    rest.
     """
 
-    select: SqlSelect
+    sql: str
     shape: Shape
-    decode: Callable
-    holes: list[_Hole]  # filled before this level runs
+    decoder: _Decoder
+    children: tuple["_Level", ...]  # its holes' levels, which run before it
+    # the generators it is keyed by, as indexes into those in scope of the
+    # enclosing branch
+    key: tuple[int, ...]
 
 
-def _compile(nq: NormalQuery, chain: tuple) -> _Hole:
+@dataclass(frozen=True)
+class _Plan:
+    """A normal query's levels, compiled once and run any number of times;
+    it holds no result values."""
+
+    roots: tuple[_Level, ...]  # one per top-level branch
+    order: tuple[_Level, ...]  # every level, in the order they run
+
+
+def _plan(nq: NormalQuery) -> _Plan:
+    """The plan of ``nq``, compiled on first use and kept on ``nq``."""
+    if nq.plan is None:
+        roots = tuple(_compile(nq, ()))
+        nq.plan = _Plan(roots, tuple(_run_order(roots)))
+    return nq.plan
+
+
+def _compile(nq: NormalQuery, chain: tuple) -> list[_Level]:
     """The levels of ``nq`` nested under the branches in ``chain``."""
-    return _Hole([_level(b, chain) for b in nq.branches], sum(len(o.gens) for o in chain))
+    return [_level(b, chain) for b in nq.branches]
 
 
 def _level(b: Branch, chain: tuple) -> _Level:
     inner = (*chain, b)
     r = _Renderer()
-    from_: list[tuple[str, str]] = []
-    where: list[str] = []
-    holes: list[_Hole] = []
+    from_: list[tuple[str, str]] = []  # every generator in scope
+    index: dict[str, int] = {}  # alias -> its generator's index in from_
+    conds: list[tuple[str, set[int]]] = []  # and the generators each reads
+    children: list[_Level] = []
+    used = r.used  # shared by the renderers bound from r
+
+    def reading(render: Callable, *args):
+        """``render(*args)``, and the generators in scope that it read."""
+        used.clear()
+        out = render(*args)
+        return out, {index[a] for a in used if a in index}
 
     def hole(sq: SubQuery) -> Shape:
-        holes.append(_compile(sq.query, inner))
-        return HoleShape(holes[-1])
+        levels = _compile(sq.query, inner)
+        children.extend(levels)
+        return HoleShape(levels)
 
     try:
         for o in inner:
@@ -381,16 +444,41 @@ def _level(b: Branch, chain: tuple) -> _Level:
             # generator that shadows an outer variable does not capture the
             # outer branch's references to it
             r, entries = r.bind(o.gens)
-            from_.extend(entries)
-            where.extend(r.expr(c, True) for c in o.conds)
-        cols, shape = _flatten_result(b.result, r, hole)
+            for entry in entries:
+                index[entry[1]] = len(from_)
+                from_.append(entry)
+            conds.extend(reading(r.expr, c, True) for c in o.conds)
+        (cols, shape), reads = reading(_flatten_result, b.result, r, hole)
     except _NotRenderable:
         # the normal forms of typechecked programs always render
         raise BackendError("plan branch is not SQL-renderable") from None
-    rowids = [f"{qident(alias)}.rowid" for _, alias in from_]
-    keys = rowids if holes else rowids[: len(rowids) - len(b.gens)]
+    outer = len(from_) - len(b.gens)
+    # the subtree reads what its conditions, its result and its holes read
+    reads = reads.union(*[gens for _, gens in conds[len(conds) - len(b.conds) :]], *[c.key for c in children])
+    key = tuple(sorted(i for i in reads if i < outer))
+    row = key + tuple(range(outer, len(from_)))
+    # the generators outside the row, and the enclosing conditions that
+    # read them, become a semi-join, so this statement returns no more rows
+    # than the join of every generator in scope would
+    kept = set(row)
+    where = [c for c, gens in conds if gens <= kept]
+    dropped = [from_[i] for i in range(len(from_)) if i not in kept]
+    if dropped:
+        semi = SqlSelect([], dropped, [c for c, gens in conds if not gens <= kept])
+        where.append(f"EXISTS ({semi.to_sql()})")
+    rowids = [f"{qident(from_[i][1])}.rowid" for i in row]
+    keys = rowids if children else rowids[: len(key)]
     select = [(k, f"k{i}") for i, k in enumerate(keys)] + list(zip(cols, shape_names(shape)))
-    return _Level(SqlSelect(select, from_, where, rowids), shape, compile_decoder(shape, len(keys)), holes)
+    # a hole looks each of its levels up by the columns of this row that
+    # hold the level's key
+    lookups = {child: tuple([row.index(i) for i in child.key]) for child in children}
+    return _Level(
+        SqlSelect(select, [from_[i] for i in row], where, rowids).to_sql(),
+        shape,
+        compile_decoder(shape, len(keys), lookups),
+        tuple(children),
+        key,
+    )
 
 
 class PlanExecutor:
@@ -398,46 +486,52 @@ class PlanExecutor:
     at any nesting depth, runs as one SQL statement per `run`.
 
     A nested list in a result is a hole in the decoder, filled from the
-    rows of the nested query's branches, grouped by the rowids of the
-    generators that enclose them; these run before the branch that holds
-    the hole.  ``explain``, when given, collects the statements' texts in
-    the order they run.
+    rows of the nested query's branches.  Each branch is keyed by the
+    rowids of the enclosing generators it reads, and the other enclosing
+    generators become an ``EXISTS``, so outer rows that agree on those
+    rowids share one decoded list.  A branch runs before the branch that
+    holds its hole.
+
+    A query's plan (statement texts, key layouts, decoder code) is compiled
+    on its first run and kept on the `NormalQuery`; a run's own state, the
+    lists decoded so far and the interned column values, lives only inside
+    `run`.  ``explain``, when given, collects the statements' texts in the
+    order they run, and ``row_counts`` the number of rows each fetched.
     """
 
     def __init__(self, conn, explain: Optional[list] = None):
         self.conn = conn
         self.explain = explain
+        self.row_counts: list[int] = []
 
     def run(self, nq: NormalQuery) -> V.VList:
-        root = _compile(nq, ())
-        for hole, level in _run_order(root):
-            # this level's holes have had all their levels run
-            for h in level.holes:
-                h.groups = {key: V.VList(tuple(items)) for key, items in h.groups.items()}
-            sql = level.select.to_sql()
+        plan = _plan(nq)
+        # level -> its lists (key -> VList), until the level holding it binds them
+        groups: dict = {}
+        for level in plan.order:
             if self.explain is not None:
-                self.explain.append(sql)
+                self.explain.append(level.sql)
             try:
-                rows = self.conn.execute(sql).fetchall()
+                rows = self.conn.execute(level.sql).fetchall()
             except sqlite3.Error as exc:
                 raise BackendError(f"SQL execution failed: {exc}") from exc
-            # rows come ordered by key, so each group is one run of rows;
-            # union branches append to a key's items in branch order
-            n, groups = hole.key_width, hole.groups
-            for key, run in groupby(rows, lambda row: row[:n]):
-                groups.setdefault(key, []).extend(map(level.decode, run))
-            for h in level.holes:
-                h.groups = {}
-        return V.VList(tuple(root.groups.get((), ())))
+            if self.explain is not None:
+                self.row_counts.append(len(rows))
+            decode = level.decoder.bind(groups)
+            # rows come ordered by key, which is their leading columns, so
+            # each list is one run of rows
+            runs = groupby(rows, itemgetter(slice(len(level.key))))
+            groups[level] = {key: V.VList(tuple(map(decode, run))) for key, run in runs}
+        lists = [groups.pop(level).get((), _EMPTY) for level in plan.roots]
+        return lists[0] if len(lists) == 1 else V.VList(tuple([x for xs in lists for x in xs.items]))
 
 
-def _run_order(hole: _Hole):
-    """``(hole, level)`` for every level under ``hole``, in the order
+def _run_order(levels):
+    """``levels`` and the levels nested under them, in the order
     `PlanExecutor` runs them: a level after the levels of its holes."""
-    for level in hole.levels:
-        for h in level.holes:
-            yield from _run_order(h)
-        yield hole, level
+    for level in levels:
+        yield from _run_order(level.children)
+        yield level
 
 
 # ---------------------------------------------------------------------------

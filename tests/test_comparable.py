@@ -91,6 +91,41 @@ def test_generated_programs(mode):
             assert vi == vs, i
 
 
+def _rows_with_lists(mode: Mode, shared: bool) -> V.VList:
+    """Two records over one unsorted list object (``shared``) or over two
+    equal lists, in the form that ``mode``'s results take."""
+
+    def item(x, o):
+        if mode is Mode.WHERE:
+            return V.VAnnot(c(x), V.WhereColor("tasks", "task", o))
+        return data_prov(c(x), ("tasks", o)) if mode is Mode.LINEAGE else c(x)
+
+    def row(n, xs, o):
+        r = V.vrecord([("n", c(n)), ("xs", xs)])
+        return data_prov(r, ("employees", o)) if mode is Mode.LINEAGE else r
+
+    def xs():
+        return V.VList((item("k", 3), item("b", 1), item("k", 2)))
+
+    first = xs()
+    return V.VList((row("z", first, 1), row("a", first if shared else xs(), 2)))
+
+
+class TestSharedLists:
+    @pytest.mark.parametrize("mode", [Mode.PLAIN, Mode.WHERE, Mode.LINEAGE])
+    def test_shared_list_matches_its_copy(self, mode):
+        shared = _rows_with_lists(mode, shared=True)
+        copied = _rows_with_lists(mode, shared=False)
+        out = assert_matches_reference(shared, mode)
+        assert out == assert_matches_reference(copied, mode)
+        # the list is walked once, so both rows hold its one canonical form
+        if mode is Mode.LINEAGE:
+            (a, _), (b, _) = out.cells
+        else:
+            a, b = out.items
+        assert a.get("xs") is b.get("xs")
+
+
 class TestHandBuilt:
     def test_annotations_inside_nested_lists(self):
         agency = V.WhereColor("Agencies", "name", 2)

@@ -3,6 +3,7 @@
 import json
 import re
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -90,7 +91,18 @@ class TestCli:
         path = self._write(tmp_path, suites.BOAT_TOURS)
         assert main(["run", path, "--engine", "sql", "--explain"]) == 0
         out = capsys.readouterr().out
-        assert out.count("-- plan --\nSELECT ") == 1
+        assert len(re.findall(r"-- plan \(\d+ rows?\) --\nSELECT ", out)) == 1
+
+    def test_explain_counts_each_statement_rows(self, tmp_path, capsys):
+        db_path = str(tmp_path / "bench.db")
+        with closing(sqlite3.connect(db_path)) as conn:
+            load_database(conn, generate_benchmark_data(2, seed=7, employees_per_dept=6))
+        path = self._write(tmp_path, suites.LINEAGE_SUITE["Q5"]["nolineage"])
+        assert main(["run", path, "--engine", "sql", "--explain", "--db", db_path]) == 0
+        plans = re.findall(r"-- plan \((\d+) rows?\) --\n(SELECT [^\n]*)", capsys.readouterr().out)
+        with closing(sqlite3.connect(db_path)) as conn:
+            counts = [(int(n), len(conn.execute(sql).fetchall())) for n, sql in plans]
+        assert len(counts) == 3 and all(n == fetched > 0 for n, fetched in counts)
 
     def test_typecheck_error_exit(self, tmp_path, capsys):
         path = self._write(tmp_path, suites.TOURS_DECLS + "query { agencies.phone }")

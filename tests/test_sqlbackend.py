@@ -3,11 +3,12 @@
 import gc
 import re
 import sqlite3
+import types
 from contextlib import closing
 
 import pytest
 
-from provql import bench, pipeline, suites
+from provql import bench, pipeline, sqlbackend, suites
 from provql import syntax as S
 from provql import values as V
 from provql.errors import BackendError, ProvqlError
@@ -729,6 +730,149 @@ class TestPlanExecutor:
         assert len(explain) == 2 and all(sql.startswith("SELECT ") for sql in explain)
 
 
+# Nested levels that read some of their enclosing generators.  ``{d}`` is
+# "data " in where mode, whose compared fields are annotated.
+KEYED_LEVELS = {
+    # each branch of the hole reads its own outer generator, d or c
+    "branches": "for (d <-- departments) for (c <-- contacts) where ({d}c.dept == {d}d.name)"
+    " [(n = c.name, xs = (for (e <-- employees) where ({d}e.dept == {d}d.name) [e.name])"
+    " ++ (for (f <-- contacts) where ({d}f.dept == {d}c.dept) [f.name]))]",
+    # e and f meet only through d, which the tasks level does not read
+    "linked": "for (e <-- employees) for (d <-- departments) for (f <-- employees)"
+    " where ({d}e.dept == {d}d.name && {d}f.dept == {d}d.name && e.oid < 4 && f.oid < 9)"
+    " [(a = e.name, b = f.name, ts = for (t <-- tasks)"
+    " where ({d}t.employee == {d}e.name || {d}t.employee == {d}f.name) [t.task])]",
+    # the inner t shadows the outer t, which the innermost level does not read
+    "shadowed": "for (t <-- tasks) for (e <-- employees) where ({d}t.employee == {d}e.name)"
+    " [(o = t.task, ts = for (t <-- tasks) where ({d}t.employee == {d}e.name) [t.task])]",
+    # the contacts level reads d only through its own hole
+    "through_hole": "for (d <-- departments) [(n = d.name, cs = for (c <-- contacts)"
+    " [(m = c.name, es = for (e <-- employees) where ({d}e.dept == {d}d.name) [e.name])])]",
+    # one list, shared by every outer row
+    "unkeyed": "for (d <-- departments)"
+    ' [(n = d.name, cs = for (c <-- contacts) where ({d}c."client") [c.name])]',
+}
+# reads e only through its condition's subquery; lineage blocks reject empty()
+EMPTY_LEVEL = (
+    "for (d <-- departments) for (e <-- employees) where ({d}e.dept == {d}d.name)"
+    " [(n = e.name, cs = for (c <-- contacts)"
+    " where (empty(for (t <-- tasks) where ({d}t.employee == {d}e.name) [t.oid])) [c.name])]"
+)
+
+
+def _keyed_program(body: str, mode: Mode) -> pipeline.Prepared:
+    decls = suites.BENCH_DECLS_WHERE if mode is Mode.WHERE else suites.BENCH_DECLS_PLAIN
+    block = "lineage" if mode is Mode.LINEAGE else "query"
+    text = decls + f"{block} {{ {body.format(d='data ' if mode is Mode.WHERE else '')} }}"
+    return pipeline.prepare(text, mode)
+
+
+class TestKeyedLevels:
+    def _both(self, body: str, mode: Mode, db, conn) -> tuple[V.Value, list[int]]:
+        """The SQL engine's result, checked against the interpreter in order
+        and canonically, and the rows each statement fetched."""
+        prepared = _keyed_program(body, mode)
+        ex = pipeline.PlanExecutor(conn, explain=[])
+        vs = ex.run(pipeline.normalized_query(prepared))
+        vi = pipeline.run_interp(db, prepared)
+        assert _in_order(vs, mode) == _in_order(vi, mode)
+        assert pipeline.comparable(vs, mode) == pipeline.comparable(vi, mode)
+        assert len(ex.row_counts) == len(ex.explain)
+        return vs, ex.row_counts
+
+    @pytest.mark.parametrize("mode", [Mode.PLAIN, Mode.WHERE, Mode.LINEAGE])
+    @pytest.mark.parametrize("case", sorted(KEYED_LEVELS))
+    def test_matches_interpreter(self, case, mode, small_bench_db, small_bench_conn):
+        vs, _ = self._both(KEYED_LEVELS[case], mode, small_bench_db, small_bench_conn)
+        assert vs.items
+
+    @pytest.mark.parametrize("mode", [Mode.PLAIN, Mode.WHERE])
+    def test_empty_condition_reads_outer_generator(self, mode, small_bench_db, small_bench_conn):
+        vs, _ = self._both(EMPTY_LEVEL, mode, small_bench_db, small_bench_conn)
+        # employees with tasks get no contacts, the others all of them
+        assert {len(x.get("cs").items) > 0 for x in vs.items} == {True, False}
+
+    def test_linked_level_has_no_cross_product(self, small_bench_db, small_bench_conn):
+        vs, counts = self._both(KEYED_LEVELS["linked"], Mode.PLAIN, small_bench_db, small_bench_conn)
+        # a statement over every generator in scope fetches one row per
+        # outer row and item; the tasks level keyed by (e, f) fetches no more
+        assert 0 < counts[0] <= sum(len(x.get("ts").items) for x in vs.items)
+        sql = plan_sql(pipeline.normalized_query(_keyed_program(KEYED_LEVELS["linked"], Mode.PLAIN)))
+        assert "EXISTS (SELECT 1 FROM" in sql
+
+    def test_unkeyed_level_is_one_shared_list(self, small_bench_db, small_bench_conn):
+        vs, _ = self._both(KEYED_LEVELS["unkeyed"], Mode.PLAIN, small_bench_db, small_bench_conn)
+        lists = [x.get("cs") for x in vs.items]
+        assert len(lists) > 1 and all(xs is lists[0] for xs in lists)
+
+    @pytest.mark.parametrize("query,inner", [("QC4", [13, 13]), ("Q5", [13])])
+    def test_inner_statements_fetch_rows_per_key(self, query, inner, small_bench_conn):
+        # keyed by all enclosing generators, QC4's two inner statements
+        # fetched 86 rows each and Q5's innermost 21
+        prepared = pipeline.prepare(suites.LINEAGE_SUITE[query]["lineage"], Mode.LINEAGE)
+        ex = pipeline.PlanExecutor(small_bench_conn, explain=[])
+        ex.run(pipeline.normalized_query(prepared))
+        assert ex.row_counts[: len(inner)] == inner
+
+
+def _reachable_values(root) -> list:
+    """The values that ``root`` references, directly or through others;
+    classes and modules are not followed."""
+    seen, todo, found = {id(root)}, [root], []
+    while todo:
+        for x in gc.get_referents(todo.pop()):
+            if id(x) in seen or isinstance(x, (type, types.ModuleType)):
+                continue
+            seen.add(id(x))
+            if isinstance(x, V.Value):
+                found.append(x)
+            todo.append(x)
+    return found
+
+
+class TestPlanReuse:
+    @pytest.mark.parametrize(
+        "query,variant,mode", [("Q5", "allprov", Mode.WHERE), ("QC4", "lineage", Mode.LINEAGE)]
+    )
+    def test_one_plan_on_two_databases(self, query, variant, mode, small_bench_db, small_bench_conn):
+        suite = suites.LINEAGE_SUITE if mode is Mode.LINEAGE else suites.WHERE_SUITE
+        prepared = pipeline.prepare(suite[query][variant], mode)
+        nq = pipeline.normalized_query(prepared)
+        other_db = generate_benchmark_data(1, seed=3, employees_per_dept=5)
+        with closing(sqlite3.connect(":memory:")) as other_conn:
+            load_database(other_conn, other_db)
+            expected = []
+            for db, conn in [(small_bench_db, small_bench_conn), (other_db, other_conn)] * 2:
+                vs = pipeline.PlanExecutor(conn).run(nq)
+                vi = pipeline.run_interp(db, prepared)
+                assert _in_order(vs, mode) == _in_order(vi, mode)
+                assert pipeline.comparable(vs, mode) == pipeline.comparable(vi, mode)
+                expected.append(pipeline.comparable(vi, mode))
+        assert expected[0] != expected[1]
+
+    def test_plan_holds_no_result_values(self, small_bench_conn):
+        prepared = pipeline.prepare(suites.LINEAGE_SUITE["QC4"]["lineage"], Mode.LINEAGE)
+        nq = pipeline.normalized_query(prepared)
+        vs = pipeline.PlanExecutor(small_bench_conn).run(nq)
+        assert vs.items and nq.plan is not None
+        assert _reachable_values(nq.plan) == []
+
+    def test_compiled_once(self, monkeypatch, small_bench_conn):
+        prepared = pipeline.prepare(suites.LINEAGE_SUITE["QC4"]["lineage"], Mode.LINEAGE)
+        nq = pipeline.normalized_query(prepared)
+        calls = []
+        level = sqlbackend._level
+        monkeypatch.setattr(sqlbackend, "_level", lambda b, chain: calls.append(b) or level(b, chain))
+        first = plan_sql(nq)
+        runs = [pipeline.PlanExecutor(small_bench_conn).run(nq) for _ in range(3)]
+        assert plan_sql(nq) == first
+        # one call per statement, all made by the first plan_sql
+        assert len(calls) == len(first.split(";\n")) == 3
+        assert runs[0] == runs[1] == runs[2]
+        # each run decodes its own values
+        assert runs[0].items[0] is not runs[1].items[0]
+
+
 VARIANT_MODES_WHERE = {"allprov": Mode.WHERE, "someprov": Mode.WHERE, "noprov": Mode.PLAIN}
 VARIANT_MODES = {**VARIANT_MODES_WHERE, "lineage": Mode.LINEAGE, "nolineage": Mode.PLAIN}
 
@@ -764,7 +908,7 @@ def _count_values(v: V.Value) -> dict:
 def _count_record_shapes(nq: NormalQuery) -> int:
     """Record shapes in the decoders of a plan's statements."""
     n = 0
-    for _, level in _run_order(_compile(nq, ())):
+    for level in _run_order(_compile(nq, ())):
         todo = [level.shape]
         while todo:
             s = todo.pop()

@@ -197,7 +197,7 @@ class TestRecordLayout:
     def test_constructions_agree(self, v):
         fresh = V.canonical_order(v)  # keeps `vrecord`'s labels tuples
         row: list = []
-        decode = compile_decoder(_decoder_input(fresh, row), 0)
+        decode = compile_decoder(_decoder_input(fresh, row), 0).bind({})
         decoded, again = decode(tuple(row)), decode(tuple(row))
         assert decoded.labels is again.labels
         walked = pipeline.comparable(_reversed(v), Mode.PLAIN)
