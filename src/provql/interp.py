@@ -642,6 +642,10 @@ def eval_big(
 class _BigStep:
     def __init__(self, db: Database):
         self.db = db
+        # each table's rows as values, by (table, mode, spec): converted on
+        # the first read, shared by every loop that reads them again, and
+        # dropped by every write
+        self.rows: dict[tuple, V.Value] = {}
 
     def run(self, e: S.Expr, env: Env, mode: Mode) -> V.Value:
         # one lookup on the node's class instead of a chain of isinstance
@@ -750,6 +754,7 @@ class _BigStep:
         rows = self.run(e.values, env, mode)
         items = rows.items if isinstance(rows, V.VList) else [c[0] for c in _as_cells(rows)]
         self.db.insert_rows(t.name, [value_row(x) for x in items])
+        self.rows.clear()
         return V.UNIT_VALUE
 
     def _apply(self, fv: V.Value, args: list[V.Value], mode: Mode, span) -> V.Value:
@@ -771,14 +776,7 @@ class _BigStep:
         if isinstance(src, V.VTable):
             if not e.table:
                 raise EvalError("list comprehension over a table", e.span)
-            if mode is Mode.LINEAGE:
-                src = self.db.rows_annotated_lineage(src.name)
-            elif mode is Mode.WHERE and src.spec:
-                src = self.db.rows_annotated_where(
-                    src.name, src.spec, self._spec_runner(mode)
-                )
-            else:
-                src = self.db.rows_as_values(src.name)
+            src = self._table_rows(src, mode)
         if mode is Mode.LINEAGE:
             cells_out: list = []
             for item, colors in _as_cells(src):
@@ -795,6 +793,19 @@ class _BigStep:
                 raise EvalError("comprehension body returned a non-list", e.span)
             items_out.extend(res.items)
         return V.VList(tuple(items_out))
+
+    def _table_rows(self, t: V.VTable, mode: Mode) -> V.Value:
+        key = (t.name, mode, t.spec)
+        rows = self.rows.get(key)
+        if rows is None:
+            if mode is Mode.LINEAGE:
+                rows = self.db.rows_annotated_lineage(t.name)
+            elif mode is Mode.WHERE and t.spec:
+                rows = self.db.rows_annotated_where(t.name, t.spec, self._spec_runner(mode))
+            else:
+                rows = self.db.rows_as_values(t.name)
+            self.rows[key] = rows
+        return rows
 
     def _spec_runner(self, mode: Mode):
         def run_fn(fn_expr: S.Expr, row: V.VRecord) -> V.VRecord:
@@ -836,6 +847,7 @@ class _BigStep:
             else:
                 new_rows.append(row)
         td.rows = new_rows
+        self.rows.clear()
         return V.UNIT_VALUE
 
     def _delete(self, e: S.Delete, env: Env, mode: Mode) -> V.Value:
@@ -852,6 +864,7 @@ class _BigStep:
             elif cond != V.TRUE:
                 raise EvalError("delete predicate returned a non-boolean", e.span)
         td.rows = keep
+        self.rows.clear()
         return V.UNIT_VALUE
 
 

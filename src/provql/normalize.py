@@ -178,6 +178,8 @@ def _rewrite_at(e: S.Expr) -> Optional[S.Expr]:
                 S.Where(e.cond, e.then), S.Where(S.Prim("not", (e.cond,)), e.els)
             )
         if isinstance(e.then, S.RecordLit) and isinstance(e.els, S.RecordLit):
+            # merge label by label, so a list-valued field becomes one Concat
+            # of Wheres (one hole) rather than a differently shaped list per branch
             then_labels = [l for l, _ in e.then.fields_]
             if sorted(then_labels) == sorted(l for l, _ in e.els.fields_):
                 fields = [
@@ -230,13 +232,6 @@ def _read_branches(e: S.Expr, gens: list, conds: list, out: list[Branch]) -> Non
         return
     if isinstance(e, S.Where):
         _read_branches(e.body, gens, conds + _conjuncts(e.cond), out)
-        return
-    if isinstance(e, S.If):
-        # residual boolean-level conditional over list results
-        _read_branches(e.then, gens, conds + [_norm_cond(e.cond)], out)
-        _read_branches(
-            e.els, gens, conds + [S.Prim("not", (_norm_cond(e.cond),))], out
-        )
         return
     if isinstance(e, S.For):
         if isinstance(e.source, S.Var):

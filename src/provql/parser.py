@@ -536,12 +536,12 @@ class Parser:
         self.next()
         self.eat("with")
         self.eat("(")
-        row_items = []
+        row_items: list[tuple[str, S.Type]] = []
         if not self.at(")"):
-            row_items.append(self._parse_row_entry())
+            row_items.append(self._parse_row_entry(row_items))
             while self.at(","):
                 self.next()
-                row_items.append(self._parse_row_entry())
+                row_items.append(self._parse_row_entry(row_items))
         self.eat(")")
         spec_entries: list[S.ProvSpecEntry] = []
         readonly: list[str] = []
@@ -606,8 +606,13 @@ class Parser:
             name_tok.text, row, spec, tuple(readonly), tuple(keys), oid_implicit, span=span
         )
 
-    def _parse_row_entry(self) -> tuple[str, S.Type]:
+    def _parse_row_entry(self, before: list[tuple[str, S.Type]]) -> tuple[str, S.Type]:
+        """One ``label: type`` entry of a row whose earlier entries are
+        ``before``; a label may occur once per row."""
+        tok = self.peek()
         label = self._parse_label()
+        if any(l == label for l, _ in before):
+            raise ParseError(f"duplicate label {label!r} in row", tok.span)
         self.eat(":")
         return (label, self.parse_type())
 
@@ -717,11 +722,11 @@ class Parser:
         )
 
     def _parse_row_type(self) -> tuple[S.Row, bool]:
-        items = [self._parse_row_entry()]
+        items = [self._parse_row_entry([])]
         open_ = False
         while self.at(","):
             self.next()
-            items.append(self._parse_row_entry())
+            items.append(self._parse_row_entry(items))
         if self.at("|"):
             self.next()
             self.eat_ident("row variable")

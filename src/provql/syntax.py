@@ -7,6 +7,12 @@ and lineage blocks delimit the parts of a program that must be runnable
 on a database.  Two internal node kinds never appear in source programs:
 ``UnionAnnot`` (produced by the lineage stepper) and ``ValueLit``
 (embeds an already-computed runtime value into a term).
+
+Terms are immutable and share unchanged subtrees.  Every node caches its
+free-variable set on first use (`free_vars`), so capture-avoiding
+substitution returns a subtree as it is when no substituted name is free in
+it, and a rewrite step copies only the paths down to the occurrences it
+replaces.
 """
 
 from __future__ import annotations
@@ -458,44 +464,59 @@ def list_lit(items, span=None) -> Expr:
 # Free variables and substitution
 
 
-def free_vars(e: Expr) -> set[str]:
-    """The exact free-variable set of a term, respecting all binders."""
-    out: set[str] = set()
-    _free_vars(e, frozenset(), out)
+# The instance-dict key of a node's cached free variables; not a field name.
+_FV = "_free_vars"
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def free_vars(e: Expr) -> frozenset[str]:
+    """The exact free-variable set of a term, respecting all binders.
+
+    Each node caches its set in its instance dict on first use, built from
+    its children's cached sets, so a term is walked once however often it
+    is asked; a copy made by `rebuild` drops the cache.  The cache is not a
+    field: it takes no part in ``==``, ``hash`` or ``repr``."""
+    try:
+        return e.__dict__[_FV]
+    except KeyError:
+        pass
+    if isinstance(e, Var):
+        fv = frozenset((e.name,))
+    elif isinstance(e, Fun):
+        fv = free_vars(e.body)
+        if e.fname is not None:
+            fv = _bind(fv, e.fname)
+        for p in e.params:
+            fv = _bind(fv, p)
+    elif isinstance(e, Let):
+        fv = _union((free_vars(e.value), _bind(free_vars(e.body), e.name)))
+    elif isinstance(e, For):
+        fv = _union((free_vars(e.source), _bind(free_vars(e.body), e.var)))
+    elif isinstance(e, Update):
+        inner = _union([free_vars(e.pred)] + [free_vars(a) for _, a in e.assigns])
+        fv = _union((free_vars(e.table), _bind(inner, e.var)))
+    elif isinstance(e, Delete):
+        fv = _union((free_vars(e.table), _bind(free_vars(e.pred), e.var)))
+    elif isinstance(e, TableRef):
+        fv = _union([free_vars(x.fn) for x in e.spec.entries if x.fn is not None])
+    else:
+        fv = _union(map(free_vars, e.children()))
+    e.__dict__[_FV] = fv
+    return fv
+
+
+def _union(sets) -> frozenset[str]:
+    """The union of some cached sets, sharing one of them when it holds the
+    others, so a node allocates a set only where its variables are new."""
+    out = _NO_VARS
+    for s in sets:
+        if not s <= out:
+            out = out | s if out else s
     return out
 
 
-def _free_vars(e: Expr, bound: frozenset, out: set[str]) -> None:
-    if isinstance(e, Var):
-        if e.name not in bound:
-            out.add(e.name)
-    elif isinstance(e, Fun):
-        inner = bound | set(e.params)
-        if e.fname is not None:
-            inner |= {e.fname}
-        _free_vars(e.body, inner, out)
-    elif isinstance(e, Let):
-        _free_vars(e.value, bound, out)
-        _free_vars(e.body, bound | {e.name}, out)
-    elif isinstance(e, For):
-        _free_vars(e.source, bound, out)
-        _free_vars(e.body, bound | {e.var}, out)
-    elif isinstance(e, Update):
-        _free_vars(e.table, bound, out)
-        inner = bound | {e.var}
-        _free_vars(e.pred, inner, out)
-        for _, a in e.assigns:
-            _free_vars(a, inner, out)
-    elif isinstance(e, Delete):
-        _free_vars(e.table, bound, out)
-        _free_vars(e.pred, bound | {e.var}, out)
-    elif isinstance(e, TableRef):
-        for entry in e.spec.entries:
-            if entry.fn is not None:
-                _free_vars(entry.fn, bound, out)
-    else:
-        for c in e.children():
-            _free_vars(c, bound, out)
+def _bind(fv: frozenset[str], name: str) -> frozenset[str]:
+    return fv - {name} if name in fv else fv
 
 
 _fresh_counter = itertools.count()
@@ -514,7 +535,9 @@ def rebuild(e: Expr, **updates) -> Expr:
     # Nodes are frozen dataclasses with no __post_init__: a copy of the
     # instance dict is a valid node, and much cheaper than __init__.
     new = object.__new__(type(e))
-    new.__dict__.update(e.__dict__, **updates)
+    d = new.__dict__
+    d.update(e.__dict__, **updates)
+    d.pop(_FV, None)
     return new
 
 
@@ -539,11 +562,11 @@ def substitute(e: Expr, bindings: dict) -> Expr:
 def _subst(e: Expr, subst: dict[str, Expr], avoid: set[str]) -> Expr:
     if isinstance(e, Var):
         return subst.get(e.name, e)
+    if free_vars(e).isdisjoint(subst):
+        return e
     if isinstance(e, Fun):
-        binders = list(e.params) + ([e.fname] if e.fname is not None else [])
-        live = {k: v for k, v in subst.items() if k not in binders}
-        if not live and not (avoid & set(binders)):
-            return e
+        # some substituted name is free in e, so live is not empty
+        live = {k: v for k, v in subst.items() if k not in e.params and k != e.fname}
         ren, params, fname = {}, list(e.params), e.fname
         for i, p in enumerate(params):
             if p in avoid:
@@ -554,8 +577,7 @@ def _subst(e: Expr, subst: dict[str, Expr], avoid: set[str]) -> Expr:
             ren[fname] = Var(new_f)
             fname = new_f
         body = _subst(e.body, ren, set()) if ren else e.body
-        if live:
-            body = _subst(body, live, avoid)
+        body = _subst(body, live, avoid)
         if not ren and body is e.body:
             return e
         return rebuild(e, fname=fname, params=tuple(params), body=body)

@@ -130,3 +130,9 @@ def test_skipped_rows_are_ignored():
     assert with_skip.slope_diff("Q", "lineage", "nolineage") == pytest.approx(
         plain.slope_diff("Q", "lineage", "nolineage")
     )
+
+
+def test_lineage_steps_commute_with_restriction():
+    report = bench.step_restriction(trials=40, seed=3)
+    assert report.ok, report.violations
+    assert report.trials == 40 and report.checks > 100

@@ -222,6 +222,28 @@ class TestUpdates:
         eval_big(db, stmt, Mode.PLAIN)
         assert [r["a"] for r in db.get("T").rows] == [1, 3]
 
+    @pytest.mark.parametrize("mode", [Mode.PLAIN, Mode.WHERE, Mode.LINEAGE])
+    def test_reads_see_earlier_writes_in_one_program(self, mode):
+        # eval_big converts a table's rows once and shares them between
+        # reads; each write must drop them, so every read after it sees it
+        t = 'table "T" with (a: Int, b: String) where a prov default'
+        text = f"""
+            var before = for (x <-- {t}) [x.a];
+            var u = update (x <-- {t}) where (x.a > 1) set (a = x.a + 10);
+            var updated = for (x <-- {t}) for (y <-- {t}) where (x.oid < y.oid) [(p = x.a, q = y.a)];
+            var i = insert ({t}) values [(a = 5, b = "n")];
+            var inserted = for (x <-- {t}) [x.a];
+            var d = delete (x <-- {t}) where (x.a == 1);
+            (before = before, updated = updated, inserted = inserted, deleted = for (x <-- {t}) [x])
+        """
+        e = parse_expr(text)
+        _, small = evaluate(self._db(), e, mode)
+        _, big = eval_big(self._db(), e, mode)
+        assert big == small
+        if mode is Mode.PLAIN:
+            assert [x.value for x in big.get("inserted").items] == [1, 12, 5]
+            assert [r.get("a").value for r in big.get("deleted").items] == [12, 5]
+
     def test_oid_never_reused_after_delete(self):
         db = self._db()
         eval_big(

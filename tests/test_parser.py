@@ -104,6 +104,17 @@ def test_syntax_error_position_and_expected():
     assert "else" in (exc.value.expected or ("else",))
 
 
+@pytest.mark.parametrize(
+    "text,col",
+    [('for (x <-- table "t" with (a: Int, a: String)) [x]', 36),
+     ("[] : [(a: Int, b: String, a: Int)]", 27)],
+)
+def test_duplicate_row_label_is_a_parse_error(text, col):
+    with pytest.raises(ParseError, match="duplicate label 'a' in row") as exc:
+        parse_expr(text)
+    assert (exc.value.span.line, exc.value.span.col) == (1, col)
+
+
 def test_spans_after_multi_line_string_literal():
     # the literal holds a raw newline: what follows it is line 2, `bc" ++ @`
     toks = tokenize('"a\nbc" ++')

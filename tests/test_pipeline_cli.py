@@ -1,5 +1,7 @@
 """The run pipeline and the command-line interface."""
 
+import csv
+import io
 import json
 import re
 import sqlite3
@@ -164,6 +166,24 @@ class TestCli:
         path = self._write(tmp_path, "query { " + "[" * 90 + "1" + "]" * 90 + " }")
         assert main(["run", path]) == 1
         assert "error: expression nested too deeply" in capsys.readouterr().err
+
+    def test_csv_quotes_commas_and_newlines_in_strings(self, tmp_path, capsys):
+        path = self._write(
+            tmp_path, 'query { [(a = "x, y", b = "say \\"hi\\"", c = "two\nlines", n = 3, t = true)] }'
+        )
+        assert main(["run", path, "--engine", "both", "--csv"]) == 0
+        out = capsys.readouterr().out
+        assert [row for row in csv.reader(io.StringIO(out)) if row] == [
+            ["a", "b", "c", "n", "t"],
+            ["x, y", 'say "hi"', "two\nlines", "3", "true"],
+        ]
+
+    def test_duplicate_table_column_fails_typed(self, tmp_path, capsys):
+        path = self._write(tmp_path, 'query { for (x <-- table "t" with (a: Int, a: String)) [x] }')
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "error: duplicate label 'a' in row" in err
+        assert "Traceback" not in err
 
     def test_gen_data_and_run_from_file_db(self, tmp_path, capsys):
         dsn = str(tmp_path / "bench.db")

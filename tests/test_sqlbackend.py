@@ -356,6 +356,25 @@ class TestUpdates:
         new = max(sdb.get("tasks").rows, key=lambda r: r["oid"])
         assert (new["employee"], new["task"]) == ("O'Brien", 'say "hi"')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'insert ({t}) values (for (y <-- {t}) where (y.oid > 2)'
+            ' [(employee = y.employee, task = "copy")])',
+            'update (x <-- {t}) where (x.oid > 2) set (task = x.employee)',
+            'delete (x <-- {t}) where (x.oid > 2)',
+        ],
+        ids=["insert", "update", "delete"],
+    )
+    def test_lineage_mode_write_matches_interpreter(self, text):
+        # a write in a lineage-mode program runs doubled: each table is a
+        # (table, lineage function) pair and the write targets its first part
+        stmt = pipeline.prepare(text.format(t=self.TASKS), Mode.LINEAGE).translated.main
+        assert isinstance(stmt.table, S.Project) and stmt.table.label == "1"
+        before, idb, sdb, ierr, serr = self._both(stmt)
+        assert ierr is None and serr is None
+        assert _state(sdb) == _state(idb) != _state(before)
+
     def test_generated_query_inserts_match_interpreter(self):
         wrote = 0
         for seed in range(50):
@@ -642,6 +661,13 @@ class TestPlanExecutor:
             "for (e <-- employees)"
             ' [if (e.salary > 50000) {e} else {(salary = 1, oid = 0, name = "n", dept = "d")}]',
             "for (c <-- contacts) [(xs = [c, c])]",
+            # a conditional over two record literals merges label by label, so
+            # nested lists of different shapes in the branches become one hole
+            'for (e <-- employees) [if (e.salary > 50000) {(n = e.name, xs = [e.name])}'
+            ' else {(n = "x", xs = [] : [String])}]',
+            "for (c <-- contacts) [if (c.\"client\") {(n = c.name, xs = for (e <-- employees)"
+            " where (e.dept == c.dept) [e.name])} else {(n = c.dept, xs = for (t <-- tasks)"
+            " where (t.oid < 3) [t.task])}]",
             # Bool, Int and String leaves, computed and stored, in a record of
             # five fields and in static list cells
             'for (c <-- contacts) [(b = c."client", i = c.oid, s = c.dept, t = c.oid > 2,'

@@ -350,6 +350,39 @@ class TestKernel:
             assert [id(x) for x in S.walk(node)] == [id(x) for x in _reference_walk(node)]
             assert S.free_vars(node) == _reference_free_vars(node)
 
+    @pytest.mark.parametrize("name", _CORPORA)
+    def test_free_vars_stay_exact_after_substitute_and_rebuild(self, name):
+        for node in _corpus(name):
+            S.free_vars(node)  # fill the caches the copies below must not inherit
+            names = sorted(_reference_free_vars(node))
+            out = S.substitute(node, {n: S.Var(n + "_r") for n in names[::2]})
+            assert S.free_vars(out) == _reference_free_vars(out)
+            for field, kind in S._LAYOUTS[type(node)]:
+                if kind == S._ONE:
+                    copy = S.rebuild(node, **{field: S.Var("zz_new")})
+                    assert S.free_vars(copy) == _reference_free_vars(copy)
+        e, fresh = parse_expr("for (x <- xs) [x]"), parse_expr("for (x <- xs) [x]")
+        assert S.free_vars(e) == {"xs"}
+        assert S.free_vars(S.rebuild(e, var="y")) == {"xs", "x"}
+        # the cache is not a field
+        assert (e, hash(e), repr(e)) == (fresh, hash(fresh), repr(fresh))
+
+    def test_substitute_skips_closed_subtrees(self, monkeypatch):
+        closed = parse_expr(" ++ ".join(f"for (v{i} <- [{i}]) [(a = v{i} + 1)]" for i in range(60)))
+        e = S.Let("y", S.Var("x"), S.pair(S.Var("y"), S.pair(closed, S.Var("x"))))
+        calls = {"_subst": 0, "rebuild": 0}
+        for fn in calls:
+            def counted(*args, _fn=getattr(S, fn), _name=fn, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(S, fn, counted)
+        out = S.substitute(e, {"x": S.Const(7)})
+        assert out.value == S.Const(7) and out.body.fields_[1][1].fields_[0][1] is closed
+        # one call per node on the paths to the two x's (let, x, pair, pair,
+        # x), and one each for y and the closed sibling, which come back as
+        # they are; the three nodes above an x are copied
+        assert calls == {"_subst": 7, "rebuild": 3}
+
     def test_rebuilds_only_the_changed_path(self):
         e = parse_expr("(a = x + 1, b = [y], c = z)")
         out = S.map_children(e, lambda c: S.Var("w") if c == S.Var("z") else c)
