@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import EvalError, StuckTermError
-from .database import Database, value_row
+from .database import Database, row_value, value_row
 from .typecheck import Mode
 from . import syntax as S
 from . import values as V
@@ -387,7 +387,7 @@ def _apply_update(e: S.Update, t: V.VTable, db: Database, mode: Mode) -> None:
     td = db.get(t.name)
     new_rows = []
     for r in td.rows:
-        rv = _row_lit(r)
+        rv = row_value(r)
         _, cond = evaluate(db.copy(), S.substitute(e.pred, {e.var: rv}), mode)
         if cond == V.TRUE:
             updated = dict(r)
@@ -407,17 +407,13 @@ def _apply_delete(e: S.Delete, t: V.VTable, db: Database, mode: Mode) -> None:
     td = db.get(t.name)
     keep = []
     for r in td.rows:
-        rv = _row_lit(r)
+        rv = row_value(r)
         _, cond = evaluate(db.copy(), S.substitute(e.pred, {e.var: rv}), mode)
         if cond == V.FALSE:
             keep.append(r)
         elif cond != V.TRUE:
             raise EvalError("delete predicate returned a non-boolean", e.span)
     td.rows = keep
-
-
-def _row_lit(r: dict) -> V.VRecord:
-    return V.vrecord([(k, V.VConst(v)) for k, v in r.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +831,7 @@ class _BigStep:
         td = self.db.get(t.name)
         new_rows = []
         for row in td.rows:
-            benv = env.bind(e.var, _row_lit(row))
+            benv = env.bind(e.var, row_value(row))
             if self.run(e.pred, benv, mode) == V.TRUE:
                 updated = dict(row)
                 for label, rhs in e.assigns:
@@ -857,7 +853,7 @@ class _BigStep:
         td = self.db.get(t.name)
         keep = []
         for row in td.rows:
-            benv = env.bind(e.var, _row_lit(row))
+            benv = env.bind(e.var, row_value(row))
             cond = self.run(e.pred, benv, mode)
             if cond == V.FALSE:
                 keep.append(row)

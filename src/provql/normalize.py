@@ -1,24 +1,27 @@
-"""Symbolic rewriting of query bodies into a form translatable to SQL.
+"""Normalization by evaluation of query bodies into a form translatable to SQL.
 
-The rewriter inlines let/function/projection redexes and hoists nested
-comprehensions, filters, and conditionals until a query is a union of
-branches, each a chain of table generators, a conjunctive condition, and a
-result record.  Normal forms over flat tables have only table generators
-(Cooper, "The script-writer's dream", DBPL 2009); a generator over anything
-else is reported as an error.  Nested collection results become subquery
-trees whose branches also have only table generators; each branch runs as
-one SQL statement per query, whatever its nesting depth (see
-`sqlbackend.PlanExecutor`).
+`normalize` evaluates a query body symbolically, in one pass, straight to
+a union of branches, each a chain of table generators, a conjunctive
+condition, and a result record (Cheney, Lindley & Wadler, "A practical
+theory of language-integrated query", ICFP 2013).  Lets and arguments are
+evaluated by name, a comprehension puts the generators and conditions of
+its source's branches before those of its body, and base-typed code stays
+as residual expressions.  Normal forms over flat tables have only table
+generators (Cooper, "The script-writer's dream", DBPL 2009); a generator
+over anything else is reported as an error.  Nested collection results
+become subquery trees whose branches also have only table generators; each
+branch runs as one SQL statement per query, whatever its nesting depth
+(see `sqlbackend.PlanExecutor`).
 
-`normalize` is the rewrite engine's one entry: queries go through it, and
-so do writes: the target of every insert, update and delete, as a
-one-generator comprehension, and the values of an insert (see
-`sqlbackend.apply_update`).  Its input is source syntax, which holds no
-values, so neither does a normal form.
+Queries and writes reach normal forms only through `normalize`: the target
+of every insert, update and delete, as a one-generator comprehension, and
+the values of an insert (see `sqlbackend.apply_update`).  Its input is
+source syntax, which holds no values, so neither does a normal form.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -71,218 +74,208 @@ class NormalQuery:
 
 
 # ---------------------------------------------------------------------------
-# Rewriting
+# Evaluation
 
-_MAX_FIXED_STEPS = 20_000
-
-
-class NoRedex:
-    pass
-
-
-NO_REDEX = NoRedex()
-
-
-def rewrite_step(e: S.Expr):
-    """Apply the leftmost-outermost rewrite rule; NO_REDEX if none applies."""
-    out = _rewrite_at(e)
-    if out is not None:
-        return out
-    # Descend left-to-right, outermost-first.
-    if isinstance(e, S.TableRef):
-        return NO_REDEX
-    replaced = None
-
-    def visit(c: S.Expr) -> S.Expr:
-        nonlocal replaced
-        if replaced is not None:
-            return c
-        sub = rewrite_step(c)
-        if not isinstance(sub, NoRedex):
-            replaced = True
-            return sub
-        return c
-
-    out_e = S.map_children(e, visit)
-    return out_e if replaced else NO_REDEX
-
-
-def _rewrite_at(e: S.Expr) -> Optional[S.Expr]:
-    """The rule set, tried at the root only."""
-    # beta for applications
-    if isinstance(e, S.App) and isinstance(e.fn, S.Fun):
-        f = e.fn
-        if len(f.params) != len(e.args):
-            raise NormalizeError("arity mismatch in query body", e.span)
-        bindings: dict[str, S.Expr] = dict(zip(f.params, e.args))
-        if f.fname is not None and f.fname in S.free_vars(f.body):
-            raise NormalizeError("recursive function in query body", e.span)
-        return S.substitute(f.body, bindings)
-    # beta for var bindings
-    if isinstance(e, S.Let):
-        return S.substitute(e.body, {e.name: e.value})
-    # record projection
-    if isinstance(e, S.Project):
-        if isinstance(e.expr, S.RecordLit):
-            for l, x in e.expr.fields_:
-                if l == e.label:
-                    return x
-            raise NormalizeError(f"projection of missing label {e.label!r}", e.span)
-        if isinstance(e.expr, S.If):
-            i = e.expr
-            return S.If(i.cond, S.Project(i.then, e.label), S.Project(i.els, e.label))
-    if isinstance(e, S.Query):
-        return e.body
-    if isinstance(e, S.For):
-        src = e.source
-        if isinstance(src, S.EmptyList):
-            return S.EmptyList()
-        if isinstance(src, S.Singleton):
-            return S.substitute(e.body, {e.var: src.item})
-        if isinstance(src, S.Concat):
-            return S.Concat(
-                S.For(e.var, src.left, e.body, e.table),
-                S.For(e.var, src.right, e.body, e.table),
-            )
-        if isinstance(src, S.For):
-            # associativity: pull the inner comprehension out
-            inner = src
-            y = inner.var
-            if y == e.var or y in S.free_vars(e.body):
-                y2 = S.fresh_name(y, S.free_vars(e.body) | S.free_vars(inner.body) | {e.var})
-                inner = S.For(
-                    y2,
-                    inner.source,
-                    S.substitute(inner.body, {y: S.Var(y2)}),
-                    inner.table,
-                )
-                y = y2
-            return S.For(
-                y, inner.source, S.For(e.var, inner.body, e.body, False), inner.table
-            )
-        if isinstance(src, S.Where):
-            return S.Where(src.cond, S.For(e.var, src.body, e.body, e.table))
-        if isinstance(src, S.If):
-            return S.If(
-                src.cond,
-                S.For(e.var, src.then, e.body, e.table),
-                S.For(e.var, src.els, e.body, e.table),
-            )
-        if isinstance(src, S.Let):
-            return S.For(e.var, S.substitute(src.body, {src.name: src.value}), e.body, e.table)
-        if isinstance(src, S.Query):
-            return S.For(e.var, src.body, e.body, e.table)
-    if isinstance(e, S.If):
-        if _list_shaped(e.then) or _list_shaped(e.els):
-            return S.Concat(
-                S.Where(e.cond, e.then), S.Where(S.Prim("not", (e.cond,)), e.els)
-            )
-        if isinstance(e.then, S.RecordLit) and isinstance(e.els, S.RecordLit):
-            # merge label by label, so a list-valued field becomes one Concat
-            # of Wheres (one hole) rather than a differently shaped list per branch
-            then_labels = [l for l, _ in e.then.fields_]
-            if sorted(then_labels) == sorted(l for l, _ in e.els.fields_):
-                fields = [
-                    (l, S.If(e.cond, x, dict(e.els.fields_)[l]))
-                    for l, x in e.then.fields_
-                ]
-                return S.record_lit(fields)
-    return None
-
-
-def _list_shaped(e: S.Expr) -> bool:
-    return isinstance(e, (S.EmptyList, S.Singleton, S.Concat, S.For, S.Where))
-
-
-def rewrite_fixpoint(e: S.Expr) -> S.Expr:
-    cap = _MAX_FIXED_STEPS + 50 * _term_size(e)
-    for _ in range(cap):
-        out = rewrite_step(e)
-        if isinstance(out, NoRedex):
-            return e
-        e = out
-    raise NormalizeError(f"normalization did not terminate within {cap} rewrites")
-
-
-def _term_size(e: S.Expr) -> int:
-    return sum(1 for _ in S.walk(e))
-
-
-# ---------------------------------------------------------------------------
-# Reading the normal form
+# More nested applications than this are taken for a term that does not
+# normalize, such as (fun (x) { x(x) })(fun (x) { x(x) }), which would
+# otherwise exhaust the stack.
+_MAX_NESTED_APPLICATIONS = 100
 
 
 def normalize(e: S.Expr) -> NormalQuery:
-    """Rewrite a query body to a fixpoint and read off its branch structure."""
-    return _read_query(rewrite_fixpoint(e))
+    """Evaluate a query body to its union of branches."""
+    ev = _Evaluator(S.free_vars(e))
+    return ev.query(ev.eval(e, {}, frozenset()), e, frozenset())
 
 
-def _read_query(e: S.Expr) -> NormalQuery:
-    branches: list[Branch] = []
-    _read_branches(e, [], [], branches)
-    return NormalQuery(branches)
+# Values: residual expressions (base-typed code, a generator's row variable,
+# a table) are `S.Expr` nodes; an environment maps a name to a `Thunk` or to
+# a generator's row variable.
+Thunk = namedtuple("Thunk", "expr env")  # evaluated by name, in the scope of each use
+Record = namedtuple("Record", "fields")  # (label, thunk or value) pairs in source order
+Union = namedtuple("Union", "branches")  # a list: (generators, conditions, result thunk)
+Closure = namedtuple("Closure", "fun env")
+# a conditional whose branches are neither lists nor records with the same
+# labels; projection and iteration distribute over it
+Cond = namedtuple("Cond", "cond then els")
 
 
-def _read_branches(e: S.Expr, gens: list, conds: list, out: list[Branch]) -> None:
-    if isinstance(e, S.EmptyList):
-        return
-    if isinstance(e, S.Concat):
-        _read_branches(e.left, gens, conds, out)
-        _read_branches(e.right, gens, conds, out)
-        return
-    if isinstance(e, S.Where):
-        _read_branches(e.body, gens, conds + _conjuncts(e.cond), out)
-        return
-    if isinstance(e, S.For):
-        if isinstance(e.source, S.Var):
-            raise NormalizeError(
-                f"unresolved variable {e.source.name!r} in generator position",
-                e.span,
+class _Evaluator:
+    """One rule per node type.  ``scope`` holds the names of the generators
+    of the enclosing branches: a new generator keeps its source name unless
+    that name is in scope or free in the input.  Every binding is evaluated
+    by name where it is used, so a list's generators are named in the scope
+    of the branch they join."""
+
+    def __init__(self, free: frozenset[str]):
+        self.free = free
+        self.depth = 0  # of nested applications
+
+    def eval(self, e: S.Expr, env: dict, scope: frozenset):
+        rule = _RULES.get(type(e))
+        if rule is None:
+            raise NormalizeError(f"non-normalizable construct {type(e).__name__} in query body", e.span)
+        return rule(self, e, env, scope)
+
+    def force(self, x, scope: frozenset):
+        return self.eval(x.expr, x.env, scope) if type(x) is Thunk else x
+
+    def query(self, v, at: Optional[S.Expr], scope: frozenset) -> NormalQuery:
+        out = []
+        for gens, conds, item in self.branches(v, at):
+            inner = scope.union(g.var for g in gens)
+            out.append(Branch(list(gens), list(conds), self.code(self.force(item, inner), inner)))
+        return NormalQuery(out)
+
+    def branches(self, v, at: S.Expr) -> list:
+        if type(v) is not Union:
+            raise NormalizeError(f"non-normalizable construct {type(v).__name__} in query body", at.span)
+        return v.branches
+
+    def code(self, v, scope: frozenset) -> S.Expr:
+        """A value as a normal-form expression; a list becomes a subquery."""
+        if isinstance(v, S.Expr):
+            return v
+        if type(v) is Record:
+            return S.record_lit([(l, self.code(self.force(x, scope), scope)) for l, x in v.fields])
+        if type(v) is Union:
+            return SubQuery(self.query(v, None, scope))
+        if type(v) is Cond:
+            return S.If(v.cond, self.code(v.then, scope), self.code(v.els, scope))
+        raise NormalizeError("function in normal form", v.fun.span)
+
+    def cond(self, c: S.Expr, then, els, scope: frozenset, at: S.Expr):
+        """``if (c) then else els``: a list is a branch per side, each with
+        ``c`` or ``not c`` first among its conditions."""
+        if type(then) is Union or type(els) is Union:
+            yes, no = _conjuncts(c), (S.Prim("not", (c,)),)
+            return Union(
+                [(g, yes + cs, r) for g, cs, r in self.branches(then, at)]
+                + [(g, no + cs, r) for g, cs, r in self.branches(els, at)]
             )
-        if not isinstance(e.source, S.TableRef):
-            raise NormalizeError(
-                f"generator over {type(e.source).__name__}, not a table, in normal form",
-                e.span,
-            )
-        gen = TableGen(e.var, e.source.name, e.source.row)
-        _read_branches(e.body, gens + [gen], conds, out)
-        return
-    if isinstance(e, S.Singleton):
-        out.append(Branch(list(gens), list(conds), _norm_result(e.item)))
-        return
-    raise NormalizeError(
-        f"non-normalizable construct {type(e).__name__} in query body", e.span
-    )
+        if type(then) is Record and type(els) is Record:
+            # merge label by label, so a list-valued field becomes one list
+            # rather than a differently shaped list per branch
+            other = dict(els.fields)
+            if sorted(l for l, _ in then.fields) == sorted(other):
+                return Record(tuple(
+                    (l, self.cond(c, self.force(x, scope), self.force(other[l], scope), scope, at))
+                    for l, x in then.fields
+                ))
+        return Cond(c, then, els)
+
+    def project(self, v, e: S.Project, scope: frozenset):
+        if type(v) is Record:
+            for l, x in v.fields:
+                if l == e.label:
+                    return self.force(x, scope)
+            raise NormalizeError(f"projection of missing label {e.label!r}", e.span)
+        if type(v) is Cond:
+            return self.cond(v.cond, self.project(v.then, e, scope), self.project(v.els, e, scope), scope, e)
+        return S.Project(self.code(v, scope), e.label, span=e.span)
+
+    def _var(self, e, env, scope):
+        x = env.get(e.name, e)
+        # a chain of variables bound to variables costs no stack depth
+        while type(x) is Thunk and type(x.expr) is S.Var:
+            x = x.env.get(x.expr.name, x.expr)
+        return self.force(x, scope)
+
+    def _app(self, e, env, scope):
+        f = self.eval(e.fn, env, scope)
+        if type(f) is not Closure:
+            args = tuple(self.code(self.eval(a, env, scope), scope) for a in e.args)
+            return S.App(self.code(f, scope), args, span=e.span)
+        fun = f.fun
+        if len(fun.params) != len(e.args):
+            raise NormalizeError("arity mismatch in query body", e.span)
+        if fun.fname is not None and fun.fname in S.free_vars(fun.body):
+            raise NormalizeError("recursive function in query body", e.span)
+        if self.depth == _MAX_NESTED_APPLICATIONS:
+            raise NormalizeError(f"normalization did not terminate within {self.depth} nested applications", e.span)
+        inner = {**f.env, **{p: Thunk(a, env) for p, a in zip(fun.params, e.args)}}
+        self.depth += 1
+        out = self.eval(fun.body, inner, scope)
+        self.depth -= 1
+        return out
+
+    def _prim(self, e, env, scope):
+        return S.Prim(e.op, tuple(self.code(self.eval(a, env, scope), scope) for a in e.args), span=e.span)
+
+    def _if(self, e, env, scope):
+        c = self.code(self.eval(e.cond, env, scope), scope)
+        return self.cond(c, self.eval(e.then, env, scope), self.eval(e.els, env, scope), scope, e)
+
+    def _concat(self, e, env, scope):
+        # walk the spine with a stack: a long chain costs no stack depth
+        out, todo = [], [e]
+        while todo:
+            x = todo.pop()
+            if type(x) is S.Concat:
+                todo += (x.right, x.left)
+            else:
+                out += self.branches(self.eval(x, env, scope), x)
+        return Union(out)
+
+    def _is_empty(self, e, env, scope):
+        return S.IsEmpty(SubQuery(self.query(self.eval(e.coll, env, scope), e.coll, scope)), span=e.span)
+
+    def _where(self, e, env, scope):
+        c = _conjuncts(self.code(self.eval(e.cond, env, scope), scope))
+        return Union([(g, c + cs, r) for g, cs, r in self.branches(self.eval(e.body, env, scope), e.body)])
+
+    def _for(self, e, env, scope, src=None):
+        """Each branch of the source, its generators and conditions first,
+        joined with each branch of the body."""
+        if src is None:
+            src = self.eval(e.source, env, scope)
+        if type(src) is Union:
+            out = []
+            for gens, conds, item in src.branches:
+                body = self.eval(e.body, {**env, e.var: item}, scope.union(g.var for g in gens))
+                out += [(gens + g, conds + cs, r) for g, cs, r in self.branches(body, e.body)]
+            return Union(out)
+        if type(src) is S.TableRef:
+            var = e.var
+            if var in scope or var in self.free:
+                var = S.fresh_name(var, scope | self.free)
+            gen = (TableGen(var, src.name, src.row),)
+            body = self.eval(e.body, {**env, e.var: S.Var(var)}, scope | {var})
+            return Union([(gen + g, cs, r) for g, cs, r in self.branches(body, e.body)])
+        if type(src) is Cond:
+            then = self._for(e, env, scope, src.then)
+            return self.cond(src.cond, then, self._for(e, env, scope, src.els), scope, e)
+        if type(src) is S.Var:
+            raise NormalizeError(f"unresolved variable {src.name!r} in generator position", e.span)
+        raise NormalizeError(f"generator over {type(src).__name__}, not a table, in normal form", e.span)
 
 
-def _conjuncts(c: S.Expr) -> list[S.Expr]:
-    if isinstance(c, S.Prim) and c.op == "&&":
+_E = _Evaluator
+_RULES = {
+    S.Const: lambda ev, e, env, scope: e,
+    S.TableRef: lambda ev, e, env, scope: e,
+    S.Var: _E._var,
+    S.RecordLit: lambda ev, e, env, scope: Record(tuple((l, Thunk(x, env)) for l, x in e.fields_)),
+    S.Project: lambda ev, e, env, scope: ev.project(ev.eval(e.expr, env, scope), e, scope),
+    S.Fun: lambda ev, e, env, scope: Closure(e, env),
+    S.App: _E._app,
+    S.Prim: _E._prim,
+    S.Let: lambda ev, e, env, scope: ev.eval(e.body, {**env, e.name: Thunk(e.value, env)}, scope),
+    S.If: _E._if,
+    S.Query: lambda ev, e, env, scope: ev.eval(e.body, env, scope),
+    S.EmptyList: lambda ev, e, env, scope: Union([]),
+    S.Singleton: lambda ev, e, env, scope: Union([((), (), Thunk(e.item, env))]),
+    S.Concat: _E._concat,
+    S.IsEmpty: _E._is_empty,
+    S.Where: _E._where,
+    S.For: _E._for,
+}
+
+
+def _conjuncts(c: S.Expr) -> tuple:
+    if type(c) is S.Prim and c.op == "&&":
         return _conjuncts(c.args[0]) + _conjuncts(c.args[1])
-    return [_norm_cond(c)]
-
-
-def _norm_cond(c: S.Expr) -> S.Expr:
-    if isinstance(c, S.IsEmpty):
-        return S.IsEmpty(SubQuery(_read_query(c.coll)))
-    if isinstance(c, S.Prim):
-        return S.Prim(c.op, tuple(_norm_cond(a) for a in c.args))
-    if isinstance(c, S.If):
-        return S.If(_norm_cond(c.cond), _norm_cond(c.then), _norm_cond(c.els))
-    return c
-
-
-def _norm_result(r: S.Expr) -> S.Expr:
-    if isinstance(r, S.RecordLit):
-        return S.record_lit([(l, _norm_result(x)) for l, x in r.fields_])
-    if _list_shaped(r):
-        return SubQuery(_read_query(r))
-    if isinstance(r, S.IsEmpty):
-        return S.IsEmpty(SubQuery(_read_query(r.coll)))
-    if isinstance(r, S.Prim):
-        return S.Prim(r.op, tuple(_norm_result(x) for x in r.args))
-    if isinstance(r, S.If):
-        return S.If(_norm_cond(r.cond), _norm_result(r.then), _norm_result(r.els))
-    return r
+    return (c,)
 
 
 # ---------------------------------------------------------------------------

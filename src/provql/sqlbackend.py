@@ -6,8 +6,8 @@ records of base-typed columns, whole rows and conditionals included.
 Writes compile through normal forms too (`apply_update`): each statement
 reaches its table through the normal form of a one-generator comprehension
 over its target, and an insert's values run on the connection as a query,
-literal rows included.  So `normalize` is the only way into the rewrite
-engine, and the backend never calls the interpreter.
+literal rows included.  So every write goes through `normalize`, and the
+backend never calls the interpreter.
 
 The backend is embedded SQLite.  Emitted SQL stays within the common
 dialect subset (SELECT / UNION ALL / scalar operators / EXISTS / ORDER BY),

@@ -11,8 +11,7 @@ on a database.  Two internal node kinds never appear in source programs:
 Terms are immutable and share unchanged subtrees.  Every node caches its
 free-variable set on first use (`free_vars`), so capture-avoiding
 substitution returns a subtree as it is when no substituted name is free in
-it, and a rewrite step copies only the paths down to the occurrences it
-replaces.
+it, and copies only the paths down to the occurrences it replaces.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Rewriting to comprehension normal form."""
+"""Normalization of query bodies to comprehension normal form."""
 
 import sqlite3
 from contextlib import closing
@@ -11,17 +11,14 @@ from provql import values as V
 from provql.errors import NormalizeError
 from provql.interp import eval_big
 from provql.normalize import (
-    NO_REDEX,
     NormalQuery,
     SubQuery,
     TableGen,
     assert_no_residuals,
     normalize,
     render_back,
-    rewrite_fixpoint,
-    rewrite_step,
 )
-from provql.parser import parse_expr, parse_program, pretty_print_program
+from provql.parser import parse_expr, parse_program, pretty_print, pretty_print_program
 from provql.progen import ProgGen
 from provql.sqlbackend import (
     apply_update,
@@ -33,31 +30,72 @@ from provql.sqlbackend import (
 from provql.typecheck import Mode, typecheck_program
 
 
-class TestRewriteStep:
-    def test_for_singleton(self):
-        e = parse_expr("for (x <- [1]) [x + 1]")
-        assert rewrite_step(e) == parse_expr("[1 + 1]")
+T = 'table "t" with (n: Int)'
 
-    def test_projection_beta(self):
-        assert rewrite_step(parse_expr("(l = 1, m = 2).l")) == S.Const(1)
 
-    def test_for_concat_distributes(self):
-        e = parse_expr("for (x <- l1 ++ l2) [x]")
-        out = rewrite_step(e)
-        assert out == parse_expr("(for (x <- l1) [x]) ++ (for (x <- l2) [x])")
+def _normal(text: str) -> str:
+    return pretty_print(render_back(normalize(parse_expr(text))))
 
-    def test_no_redex(self):
-        assert rewrite_step(S.Const(1)) is NO_REDEX or isinstance(
-            rewrite_step(S.Const(1)), type(NO_REDEX)
-        )
 
-    def test_beta_application(self):
-        e = parse_expr("(fun (x) { x + 1 })(41)")
-        assert rewrite_step(e) == parse_expr("41 + 1")
+class TestRules:
+    """Each rule of the old rewrite system, seen in the normal form."""
 
-    def test_let_inlines(self):
-        e = parse_expr("var x = 1 + 2; [x]")
-        assert rewrite_step(e) == parse_expr("[1 + 2]")
+    @pytest.mark.parametrize(
+        "text,normal",
+        [
+            ("for (x <- [1]) [x + 1]", "[1 + 1]"),
+            ("[(l = 1, m = 2).l]", "[1]"),
+            ("[(fun (x) { x + 1 })(41)]", "[41 + 1]"),
+            ("var x = 1 + 2; [x]", "[1 + 2]"),
+            (
+                f"for (x <- (for (a <-- {T}) [a]) ++ [(n = 1)]) [x.n]",
+                f"(for (a <-- {T}) [a.n]) ++ [1]",
+            ),
+            (
+                f"for (x <- if (true) {{ for (a <-- {T}) [a.n] }} else {{ [2] }}) [x]",
+                f"(for (a <-- {T}) where (true) [a.n]) ++ (where (not(true)) [2])",
+            ),
+            (
+                f"for (a <-- {T}) [if (a.n > 1) {{ (p = a.n, q = [a.n]) }} else {{ (q = [], p = 0) }}]",
+                f"for (a <-- {T}) [(p = if (a.n > 1) {{ a.n }} else {{ 0 }}, q = where (a.n > 1) [a.n])]",
+            ),
+            (
+                f"for (a <-- {T}) [(if (a.n > 1) {{ a }} else {{ (n = 0) }}).n]",
+                f"for (a <-- {T}) [if (a.n > 1) {{ a.n }} else {{ 0 }}]",
+            ),
+            (
+                f"for (x <- for (a <-- {T}) where (a.n > 1 && a.n < 9) where (a.n <> 4) [a]) where (x.n < 5) [x.n]",
+                f"for (a <-- {T}) where (a.n > 1) where (a.n < 9) where (a.n <> 4) where (a.n < 5) [a.n]",
+            ),
+        ],
+        ids=[
+            "for-singleton", "projection", "beta", "let", "for-concat", "for-if",
+            "if-records", "projection-of-if", "where-in-source",
+        ],
+    )
+    def test_rule(self, text, normal):
+        assert _normal(text) == pretty_print(parse_expr(normal))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "var q = for (a <-- agencies) [a]; for (a <-- externalTours) for (b <- q)"
+            " where (a.name == b.name) [(tour = a.destination, phone = b.phone)]",
+            "for (x <- for (a <-- agencies) [(l = for (b <-- externalTours) where (b.name == a.name) [b])])"
+            " for (b <-- externalTours) for (z <- x.l) where (z.price < b.price)"
+            " [(tour = z.destination, dearer = b.destination)]",
+        ],
+        ids=["let-bound-query", "list-in-a-bound-row"],
+    )
+    def test_spliced_generators_capture_nothing(self, body, tours_db):
+        e = parse_expr(suites.TOURS_DECLS + body)
+        nq = normalize(e)
+        for b in nq.branches:
+            names = [g.var for g in b.gens]
+            assert len(set(names)) == len(names) > 1
+        _, expect = eval_big(tours_db.copy(), e, Mode.PLAIN)
+        _, back = eval_big(tours_db.copy(), render_back(nq), Mode.PLAIN)
+        assert expect.items and V.canonical_order(back) == V.canonical_order(expect)
 
 
 class TestNormalize:
@@ -70,12 +108,6 @@ class TestNormalize:
         assert len(b.conds) == 2
         assert isinstance(b.result, S.RecordLit)
         assert b.result.field_labels() == ["name", "phone"]
-
-    def test_already_normal_is_fixpoint(self):
-        prog = parse_program(suites.BOAT_TOURS)
-        body = pipeline.query_expr(prog)
-        once = rewrite_fixpoint(body)
-        assert rewrite_fixpoint(once) == once
 
     def test_lineage_boat_query_static_prov(self, tours_db):
         prepared = pipeline.prepare(suites.BOAT_TOURS_LINEAGE, Mode.LINEAGE)
@@ -148,27 +180,14 @@ class TestTableGeneratorsOnly:
 
 
 class TestSoundness:
-    def test_rewrites_preserve_meaning(self, tours_db):
+    def test_normal_form_preserves_meaning(self, tours_db):
         for i in range(25):
             prog = ProgGen(80_000 + i, Mode.PLAIN, max_depth=4).program()
             typecheck_program(prog, Mode.PLAIN)
             body = pipeline.query_expr(prog)
             _, expect = eval_big(tours_db.copy(), body, Mode.PLAIN)
-            expect = V.canonical_order(expect)
-            e = body
-            steps = 0
-            while steps < 300:
-                out = rewrite_step(e)
-                if not isinstance(out, S.Expr):
-                    break
-                e = out
-                steps += 1
-                if steps % 25 == 0:
-                    _, mid = eval_big(tours_db.copy(), e, Mode.PLAIN)
-                    assert V.canonical_order(mid) == expect
-            nq = normalize(e)
-            _, back = eval_big(tours_db.copy(), render_back(nq), Mode.PLAIN)
-            assert V.canonical_order(back) == expect, i
+            _, back = eval_big(tours_db.copy(), render_back(normalize(body)), Mode.PLAIN)
+            assert V.canonical_order(back) == V.canonical_order(expect), i
 
     OMEGA = "(fun (x) { x(x) })(fun (x) { x(x) })"
 
@@ -176,8 +195,8 @@ class TestSoundness:
         "text,match",
         [
             ("for (y <- [(fun f(x) { f(x) })(1)]) [y]", "recursive function"),
-            # a term that rewrites to itself forever: the cap reports
-            # rather than hangs
+            # a term that applies itself forever: the bound on nested
+            # applications reports rather than exhausts the stack
             (f"for (y <- [{OMEGA}]) [y]", "did not terminate"),
             (
                 'update (x <-- table "tasks" with (oid: Int, employee: String, task: String)'
@@ -199,3 +218,30 @@ class TestSoundness:
             with pytest.raises(NormalizeError, match=match):
                 apply_update(conn, e, bench_schema_rows())
             assert read_database(conn, bench_schema_rows()).get("tasks").rows == db.get("tasks").rows
+
+
+class TestLongConcatChains:
+    """A `++` chain costs `normalize` no stack depth per item."""
+
+    N = 400
+
+    def test_query(self):
+        items = " ++ ".join(f"[(a = {i})]" for i in range(self.N))
+        text = suites.BENCH_DECLS_PLAIN + f"query {{ {items} }}"
+        db = generate_benchmark_data(1, seed=3, employees_per_dept=4)
+        value = pipeline.run(text, pipeline.RunConfig(Mode.PLAIN, engine="sql"), db=db).value
+        assert sorted(r.get("a").value for r in value.items) == list(range(self.N))
+
+    def test_literal_insert(self):
+        rows = ", ".join(f'(employee = "e{i}", task = "t")' for i in range(self.N))
+        stmt = parse_expr(
+            'insert (table "tasks" with (oid: Int, employee: String, task: String) where oid readonly)'
+            f" values ([{rows}])"
+        )
+        db = generate_benchmark_data(1, seed=3, employees_per_dept=4)
+        with closing(sqlite3.connect(":memory:")) as conn:
+            load_database(conn, db)
+            apply_update(conn, stmt, bench_schema_rows())
+            tasks = read_database(conn, bench_schema_rows()).get("tasks").rows
+        assert len(tasks) == len(db.get("tasks").rows) + self.N
+        assert [r["employee"] for r in tasks[-self.N :]] == [f"e{i}" for i in range(self.N)]

@@ -185,6 +185,40 @@ class TestCli:
         assert err.count("error:") == 1 and "error: duplicate label 'a' in row" in err
         assert "Traceback" not in err
 
+    AGENCIES = 'var agencies = table "Agencies" with (name: String, based_in: String, phone: String);\n'
+    GLASGOW = 'for (a <-- agencies) where (a.based_in == "Glasgow") [a.name]'
+
+    def test_translate_prints_the_translation(self, tmp_path, capsys):
+        path = self._write(tmp_path, self.AGENCIES + f"lineage {{ {self.GLASGOW} }}")
+        assert main(["translate", path, "--mode", "lineage"]) == 0
+        out = re.sub(r"_\d+\b", "_N", capsys.readouterr().out)
+        table = 'table "Agencies" with (based_in: String, name: String, phone: String)'
+        assert out.startswith(
+            f"var agencies = ({table}, fun() {{ for (t_N <-- {table}) "
+            '[(data = t_N, prov = [("Agencies", t_N.oid)])] });\n\nquery { '
+        )
+
+    def test_normalize_prints_the_normal_form(self, tmp_path, capsys):
+        path = self._write(tmp_path, self.AGENCIES + f"query {{ {self.GLASGOW} }}")
+        assert main(["normalize", path]) == 0
+        assert capsys.readouterr().out == (
+            'for (a <-- table "Agencies" with (based_in: String, name: String, phone: String))'
+            ' where (a.based_in == "Glasgow") [a.name]\n'
+        )
+
+    @pytest.mark.parametrize(
+        "command,main_expr,message",
+        [
+            ("translate", 'query { [1 + "a"] }', "+ needs integer arguments"),
+            ("normalize", "[1]", "the SQL engine needs the main expression to be a query block"),
+        ],
+    )
+    def test_print_subcommands_fail_typed(self, tmp_path, capsys, command, main_expr, message):
+        path = self._write(tmp_path, self.AGENCIES + main_expr)
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("error:") == 1 and message in captured.err
+
     def test_gen_data_and_run_from_file_db(self, tmp_path, capsys):
         dsn = str(tmp_path / "bench.db")
         assert (

@@ -1,6 +1,7 @@
 """SQL rendering, execution, updates, and the data generator."""
 
 import gc
+import hashlib
 import re
 import sqlite3
 import types
@@ -70,6 +71,56 @@ class TestPlanSql:
         explain: list = []
         pipeline.PlanExecutor(tours_conn, explain=explain).run(nq)
         assert ";\n".join(explain) == plan_sql(nq)
+
+
+# sha1 of `plan_sql` for each suite program.  A change that alters the SQL
+# on purpose updates these digests in the same diff.
+PLAN_DIGESTS = {
+    "where/Q1/allprov": "fbe9e52ff08802f32e3255093bfe1763686e721b",
+    "where/Q1/someprov": "c9f5a4e2cd3c67d80b48db8b24943765259e6119",
+    "where/Q1/noprov": "04a58fccaf2669b07ce0ee51d77e08e7724a8b78",
+    "where/Q2/allprov": "47da9215aff7ae64dfec5cbcbef118c68f8153f0",
+    "where/Q2/someprov": "2c731e80eadfa0b10d1badfd88d1ee51d1c954d0",
+    "where/Q2/noprov": "24f4dd38bb30ce2ede919ce8b2b1755c2ee03ef4",
+    "where/Q3/allprov": "57207315d68f92b787e03d5d5986b21e2737ed76",
+    "where/Q3/someprov": "95292ed81b0ca93e51761c0e105771a3b8d15a59",
+    "where/Q3/noprov": "10e8d9ea4d38cc9f7987246c216a07719e048853",
+    "where/Q4/allprov": "00eebb42ff73f4081f55b91c23cabb0830993c73",
+    "where/Q4/someprov": "85c2f73f74942272ab876ed24a0207bd66e691ca",
+    "where/Q4/noprov": "9e6347d88efcf01d4b63fc00665dd771818c2ead",
+    "where/Q5/allprov": "7487e82966388588437892aa755dc24cfd1afc25",
+    "where/Q5/someprov": "e57bbed26f2017846f5b4b51a9c6b9b41200fd34",
+    "where/Q5/noprov": "7bc3ad8c4a496955a01b7be62d6c93813d7dc560",
+    "where/Q6/allprov": "322368ba0ceb93e085db78a6dce3da7c70732d45",
+    "where/Q6/someprov": "628c9b1cb0b7dd1886da28c904bbd670a981011d",
+    "where/Q6/noprov": "11b293edd8a1406222ecbad5675a4e19687492d5",
+    "lineage/AQ6/lineage": "e5a51241c85a0b01cac7da3a3ef33abb0308d886",
+    "lineage/AQ6/nolineage": "e293d367f4c50737c80ab0dcb7543ed7a6215e5f",
+    "lineage/Q3/lineage": "57a3533550f80d5b2868ff26b981b6adb8195233",
+    "lineage/Q3/nolineage": "10e8d9ea4d38cc9f7987246c216a07719e048853",
+    "lineage/Q4/lineage": "5c42702e1a265f4e2187e98e039457d6595e794b",
+    "lineage/Q4/nolineage": "9e6347d88efcf01d4b63fc00665dd771818c2ead",
+    "lineage/Q5/lineage": "4d2332fa7d49fb5c24091a1fd29779d108c57ad5",
+    "lineage/Q5/nolineage": "7bc3ad8c4a496955a01b7be62d6c93813d7dc560",
+    "lineage/Q6N/lineage": "a03bf5e4f37f4f7496ed872f7ef9de078d741a38",
+    "lineage/Q6N/nolineage": "635442e9fc92e7513e77f974b6ad23ed54f7099c",
+    "lineage/Q7/lineage": "37adee2b203b53cd2786e344c8cf50c68bb0a1ad",
+    "lineage/Q7/nolineage": "09f5569cc2baf321ca42390ebb9be5f8d8910bd1",
+    "lineage/QC4/lineage": "d7ff22fb54b55503e4d2b6959f374db98d868724",
+    "lineage/QC4/nolineage": "f49610dcb9b3be96bb1e6809f47bb1f21786db83",
+    "lineage/QF3/lineage": "aebdcf11b86c02904284476a7a182ed7932bc752",
+    "lineage/QF3/nolineage": "892e819a4da4c058dcbac17e582435ce30fde351",
+    "lineage/QF4/lineage": "2ae2883263a52fe346439185a06cdd3d8e139ea4",
+    "lineage/QF4/nolineage": "03e482f4257fdd600c11e691795bc9465850f038",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_DIGESTS))
+def test_suite_plans_are_pinned(name):
+    suite, query, variant = name.split("/")
+    text = (suites.WHERE_SUITE if suite == "where" else suites.LINEAGE_SUITE)[query][variant]
+    nq = pipeline.normalized_query(pipeline.prepare(text, VARIANT_MODES[variant]))
+    assert hashlib.sha1(plan_sql(nq).encode()).hexdigest() == PLAN_DIGESTS[name]
 
 
 class TestExecute:
