@@ -722,7 +722,16 @@ class _BigStep:
         return V.VList((item,))
 
     def _concat(self, e: S.Concat, env: Env, mode: Mode) -> V.Value:
-        return concat_values(self.run(e.left, env, mode), self.run(e.right, env, mode))
+        # walk the left spine with a loop, so a long `++` chain costs no
+        # stack depth per item; operands still run and join left to right
+        rights = []
+        while isinstance(e, S.Concat):
+            rights.append(e.right)
+            e = e.left
+        out = self.run(e, env, mode)
+        for r in reversed(rights):
+            out = concat_values(out, self.run(r, env, mode))
+        return out
 
     def _is_empty(self, e: S.IsEmpty, env: Env, mode: Mode) -> V.Value:
         if mode is Mode.LINEAGE:

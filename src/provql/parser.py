@@ -3,10 +3,17 @@
 Source files use extension ``.pql``, UTF-8 encoding, and ``#`` line
 comments.  A program is a sequence of declarations (``var``, ``sig``,
 ``fun``) followed by an optional main expression.
+
+An integer literal is a run of decimal digits, the digits ``int`` reads
+(``١٢`` is 12); another digit, such as ``²``, is an unexpected character.
+An identifier starts with a letter or ``_``.  A few identifiers (``sig``,
+``database``, ``from``, ``readonly``, ``tablekeys``, ``not``, ``mod``)
+have a special meaning only in position.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,17 +26,25 @@ KEYWORDS = frozenset(
     empty insert values update set delete true false""".split()
 )
 
-# Contextual words: identifiers with special meaning only in position.
-_CONTEXTUAL = ("sig", "database", "from", "readonly", "tablekeys", "not", "mod")
+# One alternative per token kind, tried after the blanks and `#` comments
+# that precede it; multi-character symbols come before their prefixes.
+# Every position matches some alternative (`bad` at worst, `eof` at the
+# end), so `finditer` walks the text without gaps.
+_TOKEN = re.compile(
+    r"(?:[ \t\r]|#[^\n]*)*"
+    r"(?:(?P<sym><--|<-|->|==|<>|&&|\|\||\+\+|[|(){}\[\],;:.=<>+\-*!])"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<nl>\n)"
+    r"|(?P<num>\d+)"
+    r'|(?P<str>"[^"\\]*(?:\\[\s\S][^"\\]*)*")'
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))"
+)
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t"}
 
-_SYMBOLS = [
-    "<--", "<-", "->", "==", "<>", "&&", "||", "++", "|",
-    "(", ")", "{", "}", "[", "]", ",", ";", ":", ".", "=", "<", ">",
-    "+", "-", "*", "!",
-]
 
-
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # 'num' | 'str' | 'ident' | 'kw' | 'sym' | 'eof'
     text: str
@@ -42,72 +57,46 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, ending with one `eof` token.  A token's column
+    counts characters from the start of its line, a tab as one; `\\n` and
+    `\\t` escapes in a string literal stand for newline and tab, and any
+    other escaped character for itself."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok, start = m[kind], m.start(kind)
+        col = start - line_start + 1
+        if kind == "sym":
+            toks.append(Token("sym", tok, line, col))
+        elif kind == "ident":
+            if not (tok[0].isalpha() or tok[0] == "_"):
+                # a digit that is not decimal, such as '²'
+                raise ParseError(f"unexpected character {tok[0]!r}", S.Span(line, col))
+            toks.append(Token("kw" if tok in KEYWORDS else "ident", tok, line, col))
+        elif kind == "nl":
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(Token("kw" if word in KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string literal", S.Span(line, col))
-            toks.append(Token("str", "".join(out), line, col))
+            line_start = start + 1
+        elif kind == "num":
+            toks.append(Token("num", tok, line, col))
+        elif kind == "str":
+            body = tok[1:-1]
+            if "\\" in body:
+                body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
+            toks.append(Token("str", body, line, col))
             # a raw newline in the literal starts a new line
-            nl = text.rfind("\n", i, j)
-            if nl < 0:
-                col += j + 1 - i
-            else:
-                line += text.count("\n", i, j)
-                col = j + 1 - nl
-            i = j + 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
+            if "\n" in tok:
+                line += tok.count("\n")
+                line_start = start + tok.rfind("\n") + 1
+        elif kind == "eof":
+            break
         else:
-            raise ParseError(f"unexpected character {c!r}", S.Span(line, col))
+            what = "unterminated string literal" if tok == '"' else f"unexpected character {tok!r}"
+            raise ParseError(what, S.Span(line, col))
+    # after a closing comment, the end is where the comment starts
+    comment = text.find("#", m.start())
+    if comment >= 0:
+        col = comment - line_start + 1
     toks.append(Token("eof", "", line, col))
     return toks
 
@@ -140,9 +129,16 @@ class SourceProgram:
 _STATEMENT_STARTS = {"for", "where", "var", "insert"}
 
 
+# How far past the current token the parser looks: `peek(k)` for k <= 2.
+_LOOKAHEAD = 2
+_WORD_KINDS = frozenset(("sym", "kw", "ident"))
+
+
 class Parser:
     def __init__(self, text: str):
-        self.toks = tokenize(text)
+        toks = tokenize(text)
+        # the eof token repeated, so that peeking past the end reads eof
+        self.toks = toks + [toks[-1]] * _LOOKAHEAD
         self.pos = 0
         self.declared_names: set[str] = set()
         self.in_program = False
@@ -150,7 +146,7 @@ class Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+        return self.toks[self.pos + k]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -159,8 +155,8 @@ class Parser:
         return t
 
     def at(self, text: str, k: int = 0) -> bool:
-        t = self.peek(k)
-        return t.text == text and t.kind in ("sym", "kw", "ident")
+        t = self.toks[self.pos + k]
+        return t.text == text and t.kind in _WORD_KINDS
 
     def eat(self, text: str) -> Token:
         if not self.at(text):

@@ -481,6 +481,8 @@ def free_vars(e: Expr) -> frozenset[str]:
         pass
     if isinstance(e, Var):
         fv = frozenset((e.name,))
+    elif isinstance(e, Concat):
+        return _concat_free_vars(e)
     elif isinstance(e, Fun):
         fv = free_vars(e.body)
         if e.fname is not None:
@@ -501,6 +503,20 @@ def free_vars(e: Expr) -> frozenset[str]:
     else:
         fv = _union(map(free_vars, e.children()))
     e.__dict__[_FV] = fv
+    return fv
+
+
+def _concat_free_vars(e: Concat) -> frozenset[str]:
+    """`free_vars` of a `++` chain, walking its left spine with a loop so
+    that a long chain costs no stack depth per item."""
+    spine = []
+    while isinstance(e, Concat) and _FV not in e.__dict__:
+        spine.append(e)
+        e = e.left
+    fv = free_vars(e)
+    for c in reversed(spine):
+        fv = _union((fv, free_vars(c.right)))
+        c.__dict__[_FV] = fv
     return fv
 
 

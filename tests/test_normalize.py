@@ -221,9 +221,18 @@ class TestSoundness:
 
 
 class TestLongConcatChains:
-    """A `++` chain costs `normalize` no stack depth per item."""
+    """A `++` chain costs `normalize`, `free_vars` and the interpreter no
+    stack depth per item."""
 
     N = 400
+
+    def test_both_engines(self):
+        n = 900
+        items = " ++ ".join(f"[(a = {i})]" for i in range(n))
+        text = suites.BENCH_DECLS_PLAIN + f"query {{ {items} }}"
+        db = generate_benchmark_data(1, seed=3, employees_per_dept=4)
+        value = pipeline.run(text, pipeline.RunConfig(Mode.PLAIN, engine="both"), db=db).value
+        assert [r.get("a").value for r in value.items] == list(range(n))
 
     def test_query(self):
         items = " ++ ".join(f"[(a = {i})]" for i in range(self.N))

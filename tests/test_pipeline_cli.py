@@ -185,6 +185,13 @@ class TestCli:
         assert err.count("error:") == 1 and "error: duplicate label 'a' in row" in err
         assert "Traceback" not in err
 
+    def test_non_decimal_digit_fails_typed(self, tmp_path, capsys):
+        path = self._write(tmp_path, "query { [1²] }")
+        assert main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "error: unexpected character '²'" in err
+        assert "Traceback" not in err
+
     AGENCIES = 'var agencies = table "Agencies" with (name: String, based_in: String, phone: String);\n'
     GLASGOW = 'for (a <-- agencies) where (a.based_in == "Glasgow") [a.name]'
 
